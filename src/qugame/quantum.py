@@ -25,13 +25,13 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .linalg import (
-    HermitianOperator,
     ProductPlay,
     PureState,
     UnitaryOperator,
@@ -40,7 +40,6 @@ from .linalg import (
     fubini_study_distance,
     haar_random_state,
     inner_product,
-    partial_contraction,
     tensor_product,
 )
 
@@ -187,31 +186,6 @@ class ComplexPreorder(enum.Enum):
     MAGNITUDE = "magnitude"
     LEXICOGRAPHIC = "lex"
 
-    def key(self, z: complex):
-        """Sort key; tuples compare lexicographically."""
-        z = complex(z)
-        if self is ComplexPreorder.REAL_PART:
-            return z.real
-        if self is ComplexPreorder.MAGNITUDE:
-            return abs(z)
-        return (z.real, z.imag)
-
-    def gain(self, new: complex, old: complex) -> float:
-        """Real-valued improvement of ``new`` over ``old`` under this preorder.
-
-        For the lexicographic order the primary (real) gap decides unless it
-        ties to numerical precision, in which case the imaginary gap reports.
-        """
-        new, old = complex(new), complex(old)
-        if self is ComplexPreorder.REAL_PART:
-            return new.real - old.real
-        if self is ComplexPreorder.MAGNITUDE:
-            return abs(new) - abs(old)
-        primary = new.real - old.real
-        if abs(primary) > 1e-12:
-            return primary
-        return new.imag - old.imag
-
     @classmethod
     def from_name(cls, name: str) -> "ComplexPreorder":
         for member in cls:
@@ -269,35 +243,53 @@ def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     return complex(observable_payoff(game, play, i))
 
 
-def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q."""
+def _slot_map(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
+    """Matrix W, shape (joint, dims[i]), with prepared_vector == W @ q when
+    player ``i`` plays q and the others keep their factors.
+
+    Contracts U's column axes with the opponents' factors: O(d^2) time at joint
+    dimension d, no joint operator formed, O(joint * dims[i]) memory for two
+    players (with more, the first contraction holds d^2 / dims[j] entries for
+    the last opponent j).
+    """
     game.check_play(play)
+    dims = game.dims
+    tens = game.unitary.matrix.reshape((game.joint_dimension, *dims))
+    # highest axis first keeps the lower axis numbers valid; matmul reads the view uncopied
+    for j in reversed(range(len(dims))):
+        if j != i:
+            tens = np.moveaxis(tens, j + 1, -1) @ play.factors[j].amplitudes
+    return tens.reshape(-1, dims[i])
+
+
+def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
+    """U^H target, computed without a conjugate-transposed copy of U."""
+    return (target.conj() @ game.unitary.matrix).conj()
+
+
+def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
+    """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q.
+
+    W^H target for W from :func:`_slot_map`: O(d^2) time, O(joint * dims[i])
+    memory, no joint operator formed.
+    """
     spec = game.payoffs[i]
     if not isinstance(spec, OverlapPayoff):
         raise TypeError(f"player {i} does not use an overlap payoff")
-    pulled_back = game.unitary.matrix.conj().T @ spec.target.amplitudes
-    return partial_contraction(pulled_back, play, i)
+    return (spec.target.amplitudes.conj() @ _slot_map(game, play, i)).conj()
 
 
 def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Hermitian matrix M with observable_payoff == <q, M q> for slot states q."""
-    game.check_play(play)
+    """Hermitian matrix M with observable_payoff == <q, M q> for slot states q.
+
+    W^H diag(eigenvalues) W for W from :func:`_slot_map`: O(d^2) time,
+    O(joint * dims[i]) memory, no joint operator formed.
+    """
     spec = game.payoffs[i]
     if not isinstance(spec, ObservablePayoff):
         raise TypeError(f"player {i} does not use an observable payoff")
-    u = game.unitary.matrix
-    joint_op = u.conj().T @ (spec.eigenvalues[:, None] * u)
-    dims = game.dims
-    n = len(dims)
-    tens = joint_op.reshape(dims + dims)
-    # contract row axis j with conj(factor_j) and column axis j with factor_j
-    for j in reversed(range(n)):
-        if j == i:
-            continue
-        f = play.factors[j].amplitudes
-        tens = np.tensordot(tens, f, axes=([n + j], [0]))
-        tens = np.tensordot(tens, np.conj(f), axes=([j], [0]))
-    m = np.asarray(tens, dtype=np.complex128).reshape(dims[i], dims[i])
+    w = _slot_map(game, play, i)
+    m = w.conj().T @ (spec.eigenvalues[:, None] * w)
     return 0.5 * (m + m.conj().T)  # symmetrize away rounding noise
 
 
@@ -500,9 +492,8 @@ def overlap_fixed_point_candidates(game: QuantumGame) -> list[ProductPlay]:
     if not all(isinstance(p, OverlapPayoff) for p in game.payoffs):
         raise ValueError("fixed-point extraction needs overlap payoffs for both players")
     d1, d2 = game.dims
-    adjoint = game.unitary.matrix.conj().T
-    pulled_1 = (adjoint @ game.payoffs[0].target.amplitudes).reshape(d1, d2)
-    pulled_2 = (adjoint @ game.payoffs[1].target.amplitudes).reshape(d1, d2)
+    pulled_1 = _pull_back(game, game.payoffs[0].target.amplitudes).reshape(d1, d2)
+    pulled_2 = _pull_back(game, game.payoffs[1].target.amplitudes).reshape(d1, d2)
     sweep_map = pulled_2.T @ pulled_1.conj()
     values, vectors = np.linalg.eig(sweep_map)
     plays: list[ProductPlay] = []
@@ -546,20 +537,21 @@ def quantum_deviation_gains(
 
     Overlap players: |v| - |current payoff|, the exact projective optimum gap
     (nonnegative, preorder-independent). Observable players: top eigenvalue of
-    the effective observable minus the current payoff.
+    the effective observable minus the current payoff, which is read off the
+    same v or M (|<v, f>| or <f, M f> at the player's factor f).
     """
     del preorder  # improvement is phase-free; accepted for signature parity
     game.check_play(play)
     gains = np.empty(game.num_players)
-    for i in range(game.num_players):
-        spec = game.payoffs[i]
+    for i, spec in enumerate(game.payoffs):
+        f = play.factors[i].amplitudes
         if isinstance(spec, OverlapPayoff):
             v = overlap_contraction(game, play, i)
-            gains[i] = np.linalg.norm(v) - abs(overlap_payoff(game, play, i))
+            gains[i] = np.linalg.norm(v) - abs(np.vdot(v, f))
         else:
             m = effective_observable(game, play, i)
             top = float(np.linalg.eigvalsh(m)[-1])
-            gains[i] = top - observable_payoff(game, play, i)
+            gains[i] = top - np.vdot(f, m @ f).real
     return gains
 
 
@@ -578,6 +570,8 @@ def verify_epsilon_nash_quantum(
     player as a redundant check: a sampled deviation can never beat the
     closed-form optimum, so a probe gain above epsilon means rejection was
     correct anyway, and the recorded maximum makes the certificate auditable.
+    Each player's probes (one Haar state each, players in index order) are
+    prepared in one product ``U @ J``, independently of the analytic gains.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -585,23 +579,17 @@ def verify_epsilon_nash_quantum(
     gains = quantum_deviation_gains(game, play, preorder)
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
-    for i in range(game.num_players):
-        spec = game.payoffs[i]
-        is_overlap = isinstance(spec, OverlapPayoff)
-        current = (
-            abs(overlap_payoff(game, play, i))
-            if is_overlap
-            else observable_payoff(game, play, i)
-        )
-        for _ in range(num_probes):
-            probe = haar_random_state(game.dims[i], rng)
-            deviated = play.replace(i, probe)
-            value = (
-                abs(overlap_payoff(game, deviated, i))
-                if is_overlap
-                else observable_payoff(game, deviated, i)
-            )
-            max_probe = max(max_probe, value - current)
+    for i, spec in enumerate(game.payoffs if num_probes else ()):
+        slot = [play.factors[i].amplitudes]  # column 0: the current play
+        slot += [haar_random_state(game.dims[i], rng).amplitudes for _ in range(num_probes)]
+        columns = [f.amplitudes[:, None] for f in play.factors]
+        columns[i] = np.array(slot).T
+        prepared = game.unitary.matrix @ reduce(np.kron, columns)  # one joint vector per column
+        if isinstance(spec, OverlapPayoff):
+            values = np.abs(spec.target.amplitudes.conj() @ prepared)
+        else:
+            values = spec.eigenvalues @ np.abs(prepared) ** 2
+        max_probe = max(max_probe, float(values[1:].max() - values[0]))
     if gains.max() <= epsilon and max_probe <= epsilon:
         return QuantumEquilibriumCertificate(
             play,
@@ -645,7 +633,7 @@ def _scalar_payoff_tables(
     u = game.unitary.matrix
     tables = [np.empty((n, n)) for _ in range(2)]
     pulled = [
-        u.conj().T @ spec.target.amplitudes if isinstance(spec, OverlapPayoff) else None
+        _pull_back(game, spec.target.amplitudes) if isinstance(spec, OverlapPayoff) else None
         for spec in game.payoffs
     ]
     block = max(1, (1 << 22) // max(n, 1))

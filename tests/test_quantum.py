@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qugame.quantum as qq
@@ -13,6 +14,8 @@ from qugame.linalg import (
     PureState,
     haar_random_state,
     haar_random_unitary,
+    inner_product,
+    partial_contraction,
 )
 
 BELL = np.zeros(4, dtype=complex)
@@ -98,6 +101,58 @@ def test_effective_observable_quadratic_form():
         f = play.factors[i].amplitudes
         assert np.vdot(f, m @ f).real == pytest.approx(
             qq.observable_payoff(game, play, i), abs=1e-12
+        )
+
+
+# ----------------------------------------------- slot contraction kernel ---
+
+UNEQUAL_DIMS = [(2, 3), (3, 2), (3, 2, 2), (2, 3, 4), (4, 2, 3)]
+
+
+def joint_operator_contraction(game, play, i):
+    """Effective observable the long way: form U^H diag(eigenvalues) U, then
+    contract each opponent's row axis with conj(factor) and column axis with
+    the factor."""
+    u = game.unitary.matrix
+    tens = (u.conj().T @ (game.payoffs[i].eigenvalues[:, None] * u)).reshape(game.dims * 2)
+    remaining = list(range(game.num_players))  # players whose axes are left
+    for j in reversed(range(game.num_players)):
+        if j == i:
+            continue
+        f = play.factors[j].amplitudes
+        row = remaining.index(j)
+        tens = np.tensordot(tens, f, axes=([len(remaining) + row], [0]))
+        tens = np.tensordot(tens, np.conj(f), axes=([row], [0]))
+        remaining.remove(j)
+    return tens
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(UNEQUAL_DIMS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_slot_kernels_match_joint_space_oracles(dims, seed):
+    rng = np.random.default_rng(seed)
+    joint = math.prod(dims)
+    u = haar_random_unitary(joint, rng)
+    observable = qq.QuantumGame(
+        dims, u, [qq.ObservablePayoff(rng.standard_normal(joint)) for _ in dims]
+    )
+    overlap = qq.QuantumGame(
+        dims, u, [qq.OverlapPayoff(haar_random_state(joint, rng)) for _ in dims]
+    )
+    play = qq.random_play(observable, rng)
+    for i in range(len(dims)):
+        q = haar_random_state(dims[i], rng)
+        deviated = play.replace(i, q)
+        m = qq.effective_observable(observable, play, i)
+        assert_allclose(m, joint_operator_contraction(observable, play, i), rtol=0, atol=1e-12)
+        assert np.vdot(q.amplitudes, m @ q.amplitudes).real == pytest.approx(
+            qq.observable_payoff(observable, deviated, i), abs=1e-12
+        )
+        v = qq.overlap_contraction(overlap, play, i)
+        pulled_back = u.matrix.conj().T @ overlap.payoffs[i].target.amplitudes
+        assert_allclose(v, partial_contraction(pulled_back, play, i), rtol=0, atol=1e-12)
+        assert inner_product(v, q) == pytest.approx(
+            qq.overlap_payoff(overlap, deviated, i), abs=1e-12
         )
 
 
@@ -289,6 +344,43 @@ def test_verify_accepts_equilibrium_and_rejects_deviation():
     assert max(cert.per_player_gain) <= 1e-6
     bad = ProductPlay((PureState([0, 1]), PureState([1, 0])))
     assert qq.verify_epsilon_nash_quantum(game, bad, 1e-6, num_probes=16, seed=5) is None
+
+
+def test_max_probe_gain_matches_probe_by_probe_recomputation():
+    rng = np.random.default_rng(41)
+    dims, joint, num_probes = (2, 3, 2), 12, 16
+    game = qq.QuantumGame(
+        dims,
+        haar_random_unitary(joint, rng),
+        (
+            qq.ObservablePayoff(rng.standard_normal(joint)),
+            qq.OverlapPayoff(haar_random_state(joint, rng)),
+            qq.ObservablePayoff(rng.standard_normal(joint)),
+        ),
+    )
+    play = qq.random_play(game, rng)
+    verify_rng = np.random.default_rng(9)
+    cert = qq.verify_epsilon_nash_quantum(
+        game, play, 100.0, num_probes=num_probes, seed=verify_rng
+    )
+    # the same stream, one haar_random_state per probe, players in index order
+    probe_rng = np.random.default_rng(9)
+    best = -math.inf
+    for i, spec in enumerate(game.payoffs):
+        def value(factors, spec=spec):
+            prepared = qq.prepared_vector(game, factors)
+            if isinstance(spec, qq.OverlapPayoff):
+                return abs(np.vdot(spec.target.amplitudes, prepared))
+            return float(spec.eigenvalues @ np.abs(prepared) ** 2)
+
+        factors = [f.amplitudes for f in play.factors]
+        current = value(factors)
+        for _ in range(num_probes):
+            factors[i] = haar_random_state(dims[i], probe_rng).amplitudes
+            best = max(best, value(factors) - current)
+    assert cert is not None
+    assert cert.max_probe_gain == pytest.approx(best, abs=1e-12)
+    assert verify_rng.standard_normal() == probe_rng.standard_normal()
 
 
 def test_quantum_deviation_gains_at_bell_equilibrium():
