@@ -218,35 +218,34 @@ def is_epsilon_nash(
     return None
 
 
-def _support_candidate(
-    payoffs: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> np.ndarray | None:
-    """Solve the indifference system: a distribution on ``cols`` equalizing ``rows``.
+def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column weights equalizing the rows of each payoff block, solved as one stack.
 
-    ``payoffs`` is the row player's matrix; returns the column player's weights
-    or None when the system is singular or leaves the simplex.
+    Returns the weights and a mask of the systems that are nonsingular and stay
+    in the simplex; a stack holding a singular system is solved one at a time.
     """
-    m = len(rows)
-    sub = payoffs[np.ix_(rows, cols)]
-    a = np.zeros((m + 1, m + 1))
-    a[:m, :m] = sub
-    a[:m, m] = -1.0       # common payoff value v
-    a[m, :m] = 1.0        # weights sum to one
-    rhs = np.zeros(m + 1)
-    rhs[m] = 1.0
+    n, m = blocks.shape[:2]
+    systems = np.zeros((n, m + 1, m + 1))
+    systems[:, :m, :m] = blocks
+    systems[:, :m, m] = -1.0      # common payoff value v
+    systems[:, m, :m] = 1.0       # weights sum to one
+    rhs = np.eye(m + 1)[:, m:]
+    solved = np.ones(n, dtype=bool)
     try:
-        sol = np.linalg.solve(a, rhs)
+        sols = np.linalg.solve(systems, np.broadcast_to(rhs, (n, m + 1, 1)))
     except np.linalg.LinAlgError:
-        return None
-    weights = sol[:m]
-    if weights.min() < -1e-9:
-        return None
-    return np.clip(weights, 0.0, None)
+        sols = np.zeros((n, m + 1, 1))
+        for k, system in enumerate(systems):
+            try:
+                sols[k] = np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                solved[k] = False
+    return sols[:, :m, 0], solved & ~(sols[:, :m, 0].min(axis=1) < -1e-9)
 
 
-def _embed(weights: np.ndarray, support: tuple[int, ...], size: int) -> np.ndarray:
+def _embed(weights: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
     full = np.zeros(size)
-    full[list(support)] = weights
+    full[support] = np.clip(weights, 0.0, None)
     total = full.sum()
     if total <= 0:
         return full
@@ -256,10 +255,12 @@ def _embed(weights: np.ndarray, support: tuple[int, ...], size: int) -> np.ndarr
 def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
     """All equal-support-size Nash equilibria of a two-player game.
 
-    Walks support pairs in increasing size, solves the two indifference
-    systems, and keeps solutions that survive the best-response filter. Every
-    returned certificate is checked to solver precision. Intended for games
-    with at most eight strategies per player.
+    Walks support pairs in increasing size. For each size, the indifference
+    systems of all ``(rows, cols)`` pairs are stacked and solved at once per
+    player; pairs whose solutions stay in the simplex are then visited in
+    ``(rows, cols)`` order and kept if they survive the best-response filter.
+    Every returned certificate is checked to solver precision. Intended for
+    games with at most eight strategies per player.
     """
     if game.num_players != 2:
         raise ValueError("support enumeration is implemented for two players")
@@ -271,30 +272,30 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
     found: list[EquilibriumCertificate] = []
     seen: list[tuple[np.ndarray, np.ndarray]] = []
     for size in range(1, min(k1, k2) + 1):
-        for rows in itertools.combinations(range(k1), size):
-            for cols in itertools.combinations(range(k2), size):
-                y = _support_candidate(a, rows, cols)
-                x = _support_candidate(b.T, cols, rows)
-                if x is None or y is None:
-                    continue
-                profile = MixedProfile(
-                    [_embed(x, rows, k1), _embed(y, cols, k2)]
-                )
-                gains = deviation_gains(game, profile)
-                if gains.max() > eps:
-                    continue
-                xs, ys = profile.distributions
-                if any(
-                    np.abs(xs - px).max() <= 1e-8 and np.abs(ys - py).max() <= 1e-8
-                    for px, py in seen
-                ):
-                    continue
-                seen.append((xs, ys))
-                found.append(
-                    EquilibriumCertificate(
-                        profile, float(max(gains.max(), 0.0)), tuple(gains)
-                    )
-                )
+        rows = np.array(list(itertools.combinations(range(k1), size)))
+        cols = np.array(list(itertools.combinations(range(k2), size)))
+        # pair k is (rows[k // len(cols)], cols[k % len(cols)])
+        ys, y_ok = _indifference_weights(
+            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size)
+        )
+        xs, x_ok = _indifference_weights(
+            b.T[cols[None, :, :, None], rows[:, None, None, :]].reshape(-1, size, size)
+        )
+        for k in np.flatnonzero(x_ok & y_ok):
+            r, c = divmod(int(k), len(cols))
+            profile = MixedProfile([_embed(xs[k], rows[r], k1), _embed(ys[k], cols[c], k2)])
+            gains = deviation_gains(game, profile)
+            if gains.max() > eps:
+                continue
+            dx, dy = profile.distributions
+            if any(
+                np.abs(dx - px).max() <= 1e-8 and np.abs(dy - py).max() <= 1e-8
+                for px, py in seen
+            ):
+                continue
+            seen.append((dx, dy))
+            epsilon = float(max(gains.max(), 0.0))
+            found.append(EquilibriumCertificate(profile, epsilon, tuple(gains)))
     return found
 
 
@@ -347,6 +348,9 @@ def verify_countering_convexity(
     convex, so every sampled combination must counter ``base`` as well; any
     failure is reported rather than raised. Pairs are found by rejection
     sampling, and the report flags a shortfall when the draw budget runs out.
+
+    Accepted candidates stay rows of their Dirichlet blocks (one array per
+    player, popped from the end) and are mixed in bulk with plain arithmetic.
     """
     _check_compatible(game, base)
     rng = as_rng(seed)
@@ -356,35 +360,34 @@ def verify_countering_convexity(
     slack = DEFAULT_TOLS.countering_slack
     forms = [pure_deviation_payoffs(game, base, i) for i in range(game.num_players)]
     floors = [expected_payoff(game, base, i) - slack for i in range(game.num_players)]
-
-    def _counters(profile: MixedProfile) -> bool:
-        return all(
-            form @ dist >= floor
-            for form, dist, floor in zip(forms, profile.distributions, floors)
-        )
-
-    queue: list[MixedProfile] = []
+    alphas = [np.ones(k) for k in game.strategy_counts]
+    queue = [np.empty((0, k)) for k in game.strategy_counts]
     performed = passes = failures = rejected = 0
-    for _ in range(num_samples):
+    while performed < num_samples:
         draws = 0
-        while len(queue) < 2 and draws < max_draws_per_sample:
+        while len(queue[0]) < 2 and draws < max_draws_per_sample:
             batch = min(256, max_draws_per_sample - draws)
             draws += batch
-            blocks = [rng.dirichlet(np.ones(k), size=batch) for k in game.strategy_counts]
+            blocks = [rng.dirichlet(alpha, size=batch) for alpha in alphas]
             keep = np.ones(batch, dtype=bool)
             for block, form, floor in zip(blocks, forms, floors):
                 keep &= block @ form >= floor
             rejected += batch - int(keep.sum())
-            for idx in np.flatnonzero(keep):
-                queue.append(MixedProfile([block[idx] for block in blocks]))
-        if len(queue) < 2:
-            return ConvexityReport(
-                num_samples, performed, passes, failures, rejected, shortfall=True
-            )
-        mixed = mix_profiles(queue.pop(), queue.pop(), float(rng.uniform()))
-        performed += 1
-        if _counters(mixed):
-            passes += 1
-        else:
-            failures += 1
+            accepted = [block[keep] for block in blocks]
+            if any(r.min(initial=0) < -1e-12 or abs(r.sum(axis=1) - 1).max(initial=0) > 1e-10
+                   for r in accepted):
+                raise ValueError("a Dirichlet draw left the probability simplex")
+            queue = [np.concatenate([q, r]) for q, r in zip(queue, accepted)]
+        if len(queue[0]) < 2:
+            return ConvexityReport(num_samples, performed, passes, failures, rejected, shortfall=True)
+        # mix every pair held before the next refill: one uniform each, in pop order
+        pairs = min(len(queue[0]) // 2, num_samples - performed)
+        weights = rng.uniform(size=pairs)[:, None]
+        tops = [q[::-1][:2 * pairs] for q in queue]
+        queue = [q[:len(q) - 2 * pairs] for q in queue]
+        ok = np.all([(weights * t[0::2] + (1.0 - weights) * t[1::2]) @ form >= floor
+                     for t, form, floor in zip(tops, forms, floors)], axis=0)
+        performed += pairs
+        passes += int(ok.sum())
+        failures += pairs - int(ok.sum())
     return ConvexityReport(num_samples, performed, passes, failures, rejected, shortfall=False)

@@ -147,6 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_geometry(args) -> int:
+    geometry._check_sampling(args.boundary_samples, args.delta)
     points = gamedoc.read_point_cloud(args.input)
     hull = geometry.convex_hull(points)
     report = geometry.boundary_coincidence_check(
@@ -154,6 +155,7 @@ def _cmd_geometry(args) -> int:
         num_boundary_samples=args.boundary_samples,
         delta=args.delta,
         seed=args.seed,
+        hull=hull,
     )
     extremes = geometry.extreme_points(hull, points)
     doc = {

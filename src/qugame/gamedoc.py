@@ -122,7 +122,7 @@ def _vector_pairs(v: np.ndarray) -> list[list[float]]:
 def _load(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also integer literals past Python's digit limit
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be an object")
@@ -140,7 +140,10 @@ def _expect_kind(doc: dict, kind: str) -> None:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(path, f"expected a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DocumentError(path, "integer literal is too large for a real") from None
     if not math.isfinite(x):
         raise DocumentError(path, f"expected a finite real, got {value!r}")
     return x

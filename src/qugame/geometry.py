@@ -90,6 +90,7 @@ class ConvexHull3D:
     centroid: np.ndarray
 
     CONTAINMENT_TOL = 1e-9
+    CONTAINMENT_BLOCK = 16   # points per containment-validation block
 
     def contains(self, point: np.ndarray, *, tol: float | None = None) -> bool:
         t = self.CONTAINMENT_TOL if tol is None else tol
@@ -100,7 +101,8 @@ def convex_hull(points) -> ConvexHull3D:
     """Hull of a 3-d point cloud (quickhull); raises on degenerate input.
 
     Exact duplicates are merged before the hull is built, so coincident
-    samples yield a single vertex.
+    samples yield a single vertex. Every point is checked against every facet
+    plane in blocks of points, holding a block x facets array, never points x facets.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -114,35 +116,36 @@ def convex_hull(points) -> ConvexHull3D:
         hull = _QHull(pts)
     except QhullError as exc:
         raise ValueError(f"degenerate point cloud (coplanar or collinear): {exc}") from exc
-    vertex_ids = hull.vertices
-    vertices = pts[vertex_ids]
-    relabel = {old: new for new, old in enumerate(vertex_ids)}
-    facets = np.array([[relabel[v] for v in simplex] for simplex in hull.simplices])
+    vertices = pts[hull.vertices]
+    relabel = np.empty(pts.shape[0], dtype=np.intp)
+    relabel[hull.vertices] = np.arange(hull.vertices.size)
+    facets = relabel[hull.simplices]
     centroid = vertices.mean(axis=0)
-    normals = np.empty((facets.shape[0], 3))
-    offsets = np.empty(facets.shape[0])
-    for k, tri in enumerate(facets):
-        a, b, c = vertices[tri]
-        n = np.cross(b - a, c - a)
-        norm = np.linalg.norm(n)
-        if norm < 1e-14:
-            raise ValueError("hull facet is degenerate")
-        n /= norm
-        if np.dot(n, a - centroid) < 0:      # orient away from the centroid
-            n = -n
-        normals[k] = n
-        offsets[k] = np.dot(n, a)
-    out = ConvexHull3D(
+    a, b, c = (vertices[facets[:, k]] for k in range(3))
+    normals = np.cross(b - a, c - a)
+    norms = np.linalg.norm(normals, axis=1)
+    if norms.min() < 1e-14:
+        raise ValueError("hull facet is degenerate")
+    normals /= norms[:, None]
+    normals[np.einsum("ij,ij->i", normals, a - centroid) < 0] *= -1.0   # point outward
+    offsets = np.einsum("ij,ij->i", normals, a)
+    # [p, 1] @ [n; -offset] is each point's height above each facet plane
+    lifted = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    planes = np.vstack([normals.T, -offsets])
+    heights = np.empty((ConvexHull3D.CONTAINMENT_BLOCK, len(offsets)))
+    worst = max(
+        np.matmul(lifted[s:s + len(heights)], planes, out=heights[:len(pts) - s]).max()
+        for s in range(0, len(pts), len(heights))
+    )
+    if worst > ConvexHull3D.CONTAINMENT_TOL:
+        raise ValueError(f"hull fails containment validation by {worst:.3e}")
+    return ConvexHull3D(
         vertices=vertices,
         facets=facets,
         normals=normals,
         offsets=offsets,
         centroid=centroid,
     )
-    inside = pts @ out.normals.T - out.offsets[None, :]
-    if inside.max() > ConvexHull3D.CONTAINMENT_TOL:
-        raise ValueError(f"hull fails containment validation by {inside.max():.3e}")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +271,13 @@ def sample_hull_boundary(
     )
 
 
+def _check_sampling(num_boundary_samples: int, delta: float) -> None:
+    if not num_boundary_samples >= 1:
+        raise ValueError(f"num_boundary_samples must be >= 1, got {num_boundary_samples!r}")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be a finite real > 0, got {delta!r}")
+
+
 def boundary_coincidence_check(
     samples,
     *,
@@ -275,16 +285,20 @@ def boundary_coincidence_check(
     delta: float = 0.05,
     threshold: float = 0.95,
     seed: int | np.random.Generator | None = 0,
+    hull: ConvexHull3D | None = None,
 ) -> CoincidenceReport:
     """Estimate how much of the hull boundary the sample set itself covers.
 
-    Builds the hull of ``samples``, draws area-weighted boundary points, and
-    reports the fraction lying within ``delta`` of the nearest sample. A
+    Draws area-weighted points on the hull of ``samples`` (``hull``, else built
+    here) and reports the fraction within ``delta`` of the nearest sample. A
     covered boundary (fraction >= threshold) is flagged: the retract
     construction needs a boundary piece free of the set, and none is left.
     """
+    _check_sampling(num_boundary_samples, delta)
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
     pts = np.asarray(samples, dtype=np.float64)
-    hull = convex_hull(pts)
+    hull = convex_hull(pts) if hull is None else hull
     rng = as_rng(seed)
     boundary = sample_hull_boundary(hull, num_boundary_samples, rng)
     dists, _ = cKDTree(pts).query(boundary)

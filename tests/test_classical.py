@@ -1,6 +1,9 @@
 """Finite games, mixed extensions, countering sets, support enumeration."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qugame.classical import (
@@ -18,6 +21,7 @@ from qugame.classical import (
     support_enumeration_nash,
     verify_countering_convexity,
 )
+from qugame.config import DEFAULT_TOLS
 
 MATCHING_PENNIES = FiniteGame(
     (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([[-1.0, 1.0], [1.0, -1.0]]))
@@ -197,6 +201,161 @@ def test_verify_countering_convexity_reports_shortfall():
     assert report.performed < report.requested
     assert report.failures == 0
     assert not report.ok
+
+
+def oracle_convexity(game, base, num_samples, rng, max_draws_per_sample=2000):
+    """Reference sampler: one validated profile per candidate and per mixture."""
+    forms = [pure_deviation_payoffs(game, base, i) for i in range(game.num_players)]
+    floors = [expected_payoff(game, base, i) - DEFAULT_TOLS.countering_slack
+              for i in range(game.num_players)]
+    queue = []
+    performed = passes = failures = rejected = 0
+    for _ in range(num_samples):
+        draws = 0
+        while len(queue) < 2 and draws < max_draws_per_sample:
+            batch = min(256, max_draws_per_sample - draws)
+            draws += batch
+            blocks = [rng.dirichlet(np.ones(k), size=batch) for k in game.strategy_counts]
+            keep = np.ones(batch, dtype=bool)
+            for block, form, floor in zip(blocks, forms, floors):
+                keep &= block @ form >= floor
+            rejected += batch - int(keep.sum())
+            for idx in np.flatnonzero(keep):
+                queue.append(MixedProfile([block[idx] for block in blocks]))
+        if len(queue) < 2:
+            return ConvexityReport(num_samples, performed, passes, failures, rejected, True)
+        mixed = mix_profiles(queue.pop(), queue.pop(), float(rng.uniform()))
+        performed += 1
+        if all(f @ d >= fl for f, d, fl in zip(forms, mixed.distributions, floors)):
+            passes += 1
+        else:
+            failures += 1
+    return ConvexityReport(num_samples, performed, passes, failures, rejected, False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=150),
+    st.sampled_from([1, 3, 10, 300, 2000]),
+)
+def test_convexity_sampler_matches_profile_oracle(counts, seed, num_samples, max_draws):
+    setup = np.random.default_rng(seed)
+    game = FiniteGame([setup.uniform(-1, 1, size=counts) for _ in counts])
+    base = random_profile(game, setup)
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    report = verify_countering_convexity(
+        game, base, num_samples, rng, max_draws_per_sample=max_draws
+    )
+    assert report == oracle_convexity(game, base, num_samples, oracle_rng, max_draws)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_convexity_sampler_matches_oracle_through_a_shortfall():
+    # a small draw budget runs out part-way through the run
+    rng = np.random.default_rng(30)
+    game = FiniteGame([rng.uniform(-1, 1, size=(3, 3, 2)) for _ in range(3)])
+    base = random_profile(game, rng)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    report = verify_countering_convexity(game, base, 500, rng, max_draws_per_sample=4)
+    assert report == oracle_convexity(game, base, 500, oracle_rng, 4)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert report.shortfall and 0 < report.performed < 500
+
+
+def oracle_support_candidate(payoffs, rows, cols):
+    m = len(rows)
+    a = np.zeros((m + 1, m + 1))
+    a[:m, :m] = payoffs[list(rows)][:, list(cols)]
+    a[:m, m] = -1.0
+    a[m, :m] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    try:
+        weights = np.linalg.solve(a, rhs)[:m]
+    except np.linalg.LinAlgError:
+        return None
+    return None if weights.min() < -1e-9 else np.clip(weights, 0.0, None)
+
+
+def oracle_enumeration(game):
+    """Reference enumeration: two separate solves per support pair."""
+    k1, k2 = game.strategy_counts
+    a, b = game.payoff_tensors
+    found, seen = [], []
+
+    def embed(weights, support, size):
+        full = np.zeros(size)
+        full[list(support)] = weights
+        return full / full.sum() if full.sum() > 0 else full
+
+    for size in range(1, min(k1, k2) + 1):
+        for rows in itertools.combinations(range(k1), size):
+            for cols in itertools.combinations(range(k2), size):
+                y = oracle_support_candidate(a, rows, cols)
+                if y is None:
+                    continue
+                x = oracle_support_candidate(b.T, cols, rows)
+                if x is None:
+                    continue
+                profile = MixedProfile([embed(x, rows, k1), embed(y, cols, k2)])
+                gains = deviation_gains(game, profile)
+                if gains.max() > DEFAULT_TOLS.solver_epsilon:
+                    continue
+                xs, ys = profile.distributions
+                if any(np.abs(xs - px).max() <= 1e-8 and np.abs(ys - py).max() <= 1e-8
+                       for px, py in seen):
+                    continue
+                seen.append((xs, ys))
+                found.append((xs, ys, float(max(gains.max(), 0.0)), tuple(gains)))
+    return found
+
+
+def assert_certificates_equal(certs, expected):
+    assert len(certs) == len(expected)
+    for cert, (xs, ys, epsilon, gains) in zip(certs, expected):
+        assert np.array_equal(cert.profile.distributions[0], xs)
+        assert np.array_equal(cert.profile.distributions[1], ys)
+        assert cert.epsilon == epsilon
+        assert cert.per_player_gain == gains
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_support_enumeration_matches_per_pair_oracle(k1, k2, seed, integral):
+    rng = np.random.default_rng(seed)
+    if integral:   # small integer payoffs: ties and singular subsystems
+        game = FiniteGame([rng.integers(-2, 3, size=(k1, k2)).astype(float) for _ in range(2)])
+    else:
+        game = FiniteGame([rng.normal(size=(k1, k2)) for _ in range(2)])
+    assert_certificates_equal(support_enumeration_nash(game), oracle_enumeration(game))
+
+
+def test_support_enumeration_matches_oracle_at_eight_strategies():
+    rng = np.random.default_rng(80)
+    game = FiniteGame([rng.normal(size=(8, 8)) for _ in range(2)])
+    assert_certificates_equal(support_enumeration_nash(game), oracle_enumeration(game))
+
+
+@pytest.mark.parametrize(
+    "tensors",
+    [
+        [np.ones((4, 4)), np.eye(4)],
+        [np.eye(3), np.ones((3, 3))],
+        [np.zeros((3, 4)), np.zeros((3, 4))],
+    ],
+)
+def test_support_enumeration_matches_oracle_with_singular_subsystems(tensors):
+    game = FiniteGame(tensors)
+    certs = support_enumeration_nash(game)
+    assert certs
+    assert_certificates_equal(certs, oracle_enumeration(game))
 
 
 # ----------------------------------------------------------- equilibria ---

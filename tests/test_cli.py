@@ -235,6 +235,41 @@ def test_geometry_report_matches_library(tmp_path):
     assert doc["coincidence"]["coincident"] is False
 
 
+def test_geometry_builds_one_hull(tmp_path, monkeypatch):
+    cloud = tmp_path / "cloud.csv"
+    _hemisphere_csv(cloud, 200, seed=6)
+    builds = []
+    real = geometry.convex_hull
+
+    def counting(points):
+        builds.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(geometry, "convex_hull", counting)
+    assert run("geometry", "--input", cloud, "--out", tmp_path / "geo.json") == 0
+    assert builds == [200]
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--delta", -1, "delta"),
+        ("--delta", 0, "delta"),
+        ("--delta", "nan", "delta"),
+        ("--boundary-samples", 0, "num_boundary_samples"),
+        ("--boundary-samples", -5, "num_boundary_samples"),
+    ],
+)
+def test_geometry_rejects_bad_sampling_before_reading(tmp_path, capsys, flag, value, name):
+    # the input does not exist: the parameters are refused before it is read
+    out = tmp_path / "geo.json"
+    assert run("geometry", "--input", tmp_path / "missing.csv", flag, value,
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- sweep ---
 
 def _small_schedule(path):
@@ -304,6 +339,21 @@ def test_domain_errors_exit_1(tmp_path):
         '[[[1.01,0],[0,0]],[[1,0],[0,0]]]}\n'
     )
     assert run("verify", "--input", game, "--play", stretched, "--out", out) == 1
+
+
+def test_huge_integer_literal_exits_1_with_a_field_path(tmp_path, capsys):
+    game = build(tmp_path, "bell-state-prep")
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"schema_version":1,"kind":"play","factors":'
+        f'[[[1{"0" * 400},0],[0,0]],[[1,0],[0,0]]]}}\n'
+    )
+    out = tmp_path / "out.json"
+    assert run("verify", "--input", game, "--play", huge, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factors[0][0][0]: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ entrypoint ---

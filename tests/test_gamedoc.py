@@ -132,6 +132,33 @@ def test_parse_rejects_invalid_json_and_non_objects():
         gd.parse_game("[1,2]")
 
 
+HUGE = "1" + "0" * 400             # overflows a float
+BEYOND_DIGIT_LIMIT = "1" * 5000     # past Python's int-string conversion limit
+
+
+def test_parse_rejects_integer_literals_too_large_for_a_real():
+    play = '{"schema_version":1,"kind":"play","factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
+    with pytest.raises(gd.DocumentError, match=r"^factors\[0\]\[0\]\[0\]: ") as err:
+        gd.parse_play(play.replace("[[[1,0]", f"[[[{HUGE},0]", 1), (2, 2))
+    assert err.value.path == "factors[0][0][0]"
+    finite = '{"schema_version":1,"kind":"finite","strategy_counts":[2,2],' \
+        '"payoff_tensors":[[[1,0],[0,1]],[[1,0],[0,1]]]}'
+    with pytest.raises(gd.DocumentError) as err:
+        gd.parse_game(finite.replace("[[1,0],[0,1]]]}", f"[[1,0],[0,-{HUGE}]]]}}"))
+    assert err.value.path == "payoff_tensors[1][1][1]"
+
+
+def test_parse_rejects_integer_literals_past_the_digit_limit():
+    play = '{"schema_version":1,"kind":"play","factors":[[[1,0],[0,0]],[[1,0],[0,0]]]}'
+    with pytest.raises(gd.DocumentError, match="not valid JSON") as err:
+        gd.parse_play(play.replace("[[[1,0]", f"[[[{BEYOND_DIGIT_LIMIT},0]", 1), (2, 2))
+    assert err.value.path == "$"
+    doc = gd.serialize_game(bld.bell_state_preparation_demo())
+    with pytest.raises(gd.DocumentError) as err:
+        gd.parse_game(doc.replace('"schema_version":1', f'"schema_version":{BEYOND_DIGIT_LIMIT}'))
+    assert err.value.path == "$"
+
+
 def test_parse_game_rejects_non_unitary_matrix():
     doc = gd.serialize_game(bld.bell_state_preparation_demo())
     broken = doc.replace("[[0.70710678118654746,0]", "[[0.9,0]", 1)

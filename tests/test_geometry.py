@@ -1,7 +1,11 @@
 """Sphere embedding, hulls, retracts, boundary coincidence."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull as QHull
+from scipy.spatial import QhullError
 
 from qugame import geometry as geo
 from qugame.linalg import PureState, fubini_study_distance, haar_random_state
@@ -70,6 +74,114 @@ def test_cube_hull_shape():
     assert hull.contains(np.zeros(3))
     assert not hull.contains(np.array([1.5, 0.0, 0.0]))
     assert_allclose(hull.centroid, np.zeros(3), atol=1e-12)
+
+
+def oracle_hull(points) -> geo.ConvexHull3D:
+    """Reference hull: per-facet planes and a points x facets containment check."""
+    pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
+    hull = QHull(pts)
+    vertices = pts[hull.vertices]
+    relabel = {old: new for new, old in enumerate(hull.vertices)}
+    facets = np.array([[relabel[v] for v in simplex] for simplex in hull.simplices])
+    centroid = vertices.mean(axis=0)
+    normals = np.empty((facets.shape[0], 3))
+    offsets = np.empty(facets.shape[0])
+    for k, tri in enumerate(facets):
+        a, b, c = vertices[tri]
+        n = np.cross(b - a, c - a)
+        norm = np.linalg.norm(n)
+        if norm < 1e-14:
+            raise ValueError("hull facet is degenerate")
+        n /= norm
+        if np.dot(n, a - centroid) < 0:
+            n = -n
+        normals[k] = n
+        offsets[k] = np.dot(n, a)
+    inside = pts @ normals.T - offsets[None, :]
+    if inside.max() > geo.ConvexHull3D.CONTAINMENT_TOL:
+        raise ValueError("hull fails containment validation")
+    return geo.ConvexHull3D(vertices, facets, normals, offsets, centroid)
+
+
+def drawn_cloud(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "sphere":
+        return sphere_cloud(n, seed)
+    if kind == "cap":
+        return hemisphere_cloud(n, seed)
+    if kind == "blob":
+        return rng.normal(size=(n, 3)) * [1.0, 0.1, 3.0]
+    # points on a small integer grid: duplicates and coplanar facets
+    return rng.integers(-2, 3, size=(n, 3)).astype(float)
+
+
+def assert_matches_oracle(pts):
+    try:
+        expected = oracle_hull(pts)
+    except (ValueError, QhullError):   # flat or too few distinct points: refuse too
+        with pytest.raises(ValueError):
+            geo.convex_hull(pts)
+        return
+    hull = geo.convex_hull(pts)
+    assert np.array_equal(hull.vertices, expected.vertices)
+    assert hull.facets.dtype == expected.facets.dtype
+    assert np.array_equal(hull.facets, expected.facets)
+    assert np.array_equal(hull.centroid, expected.centroid)
+    assert_allclose(hull.normals, expected.normals, rtol=0, atol=1e-12)
+    assert_allclose(hull.offsets, expected.offsets, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["sphere", "cap", "blob", "grid"]),
+    st.integers(min_value=8, max_value=200),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_convex_hull_matches_per_facet_oracle(kind, n, seed):
+    assert_matches_oracle(drawn_cloud(kind, n, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(5, 40), st.just(3)),
+              elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+def test_convex_hull_matches_oracle_on_arbitrary_clouds(pts):
+    assert_matches_oracle(pts)
+
+
+def test_convex_hull_matches_oracle_on_a_large_sphere():
+    assert_matches_oracle(sphere_cloud(1000, 3))
+
+
+def test_convex_hull_rejects_a_degenerate_facet(monkeypatch):
+    # after deduplication the points sort as (0,0,0), (0,0,1), (0,1,0),
+    # (1,0,0), (2,0,0); the first, fourth and fifth are collinear
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    class CollinearFacetHull:
+        def __init__(self, points):
+            self.vertices = np.arange(len(points))
+            self.simplices = np.vstack([QHull(points).simplices, [[0, 3, 4]]])
+
+    monkeypatch.setattr(geo, "_QHull", CollinearFacetHull)
+    with pytest.raises(ValueError, match="hull facet is degenerate"):
+        geo.convex_hull(pts)
+
+
+def test_convex_hull_containment_checks_every_block(monkeypatch):
+    # a point outside the hull in the last, partial block must be caught
+    pts = sphere_cloud(3 * geo.ConvexHull3D.CONTAINMENT_BLOCK + 5, 4)
+    real = QHull
+
+    class HullWithoutLastPoint:
+        def __init__(self, points):
+            hull = real(points[:-1])
+            self.vertices = hull.vertices
+            self.simplices = hull.simplices
+
+    pts = np.vstack([pts, [[3.0, 3.0, 3.0]]])   # sorts last after deduplication
+    monkeypatch.setattr(geo, "_QHull", HullWithoutLastPoint)
+    with pytest.raises(ValueError, match="containment"):
+        geo.convex_hull(pts)
 
 
 def test_convex_hull_needs_full_dimension():
@@ -237,3 +349,41 @@ def test_coincidence_report_fields_round():
     assert report.num_boundary_samples == 500
     assert report.threshold == 0.9
     assert 0.0 <= report.fraction <= 1.0
+
+
+def test_coincidence_check_reuses_a_given_hull(monkeypatch):
+    pts = sphere_cloud(300, 9)
+    hull = geo.convex_hull(pts)
+    expected = geo.boundary_coincidence_check(pts, num_boundary_samples=300, delta=0.1, seed=2)
+
+    def no_rebuild(points):
+        raise AssertionError("hull rebuilt although one was given")
+
+    monkeypatch.setattr(geo, "convex_hull", no_rebuild)
+    report = geo.boundary_coincidence_check(
+        pts, num_boundary_samples=300, delta=0.1, seed=2, hull=hull
+    )
+    assert report == expected
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"delta": -1.0}, "delta"),
+        ({"delta": 0.0}, "delta"),
+        ({"delta": float("nan")}, "delta"),
+        ({"delta": float("inf")}, "delta"),
+        ({"num_boundary_samples": 0}, "num_boundary_samples"),
+        ({"num_boundary_samples": -5}, "num_boundary_samples"),
+        ({"threshold": 0.0}, "threshold"),
+        ({"threshold": 1.5}, "threshold"),
+        ({"threshold": float("nan")}, "threshold"),
+    ],
+)
+def test_coincidence_check_rejects_bad_parameters_before_the_hull(monkeypatch, kwargs, name):
+    def no_hull(points):
+        raise AssertionError("hull built before the parameters were checked")
+
+    monkeypatch.setattr(geo, "convex_hull", no_hull)
+    with pytest.raises(ValueError, match=name):
+        geo.boundary_coincidence_check(sphere_cloud(50, 1), **kwargs)
