@@ -39,7 +39,6 @@ from .classical import (
     verify_countering_convexity,
 )
 from .quantum import (
-    ComplexPreorder,
     DynamicsOutcome,
     DynamicsStatus,
     GridSearchReport,

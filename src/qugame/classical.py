@@ -91,10 +91,10 @@ class MixedProfile:
                 raise ValueError(f"distribution {i} is not a nonempty vector")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"distribution {i} has non-finite entries")
-            if arr.min() < -1e-12:
+            if arr.min() < -DEFAULT_TOLS.simplex_negative:
                 raise ValueError(f"distribution {i} has a negative entry: {arr.min()!r}")
             total = arr.sum()
-            if abs(total - 1.0) > 1e-10:
+            if abs(total - 1.0) > DEFAULT_TOLS.simplex_sum:
                 raise ValueError(f"distribution {i} sums to {total!r}, not 1")
             arr = np.clip(arr, 0.0, None)
             arr.setflags(write=False)
@@ -374,7 +374,8 @@ def verify_countering_convexity(
                 keep &= block @ form >= floor
             rejected += batch - int(keep.sum())
             accepted = [block[keep] for block in blocks]
-            if any(r.min(initial=0) < -1e-12 or abs(r.sum(axis=1) - 1).max(initial=0) > 1e-10
+            if any(r.min(initial=0) < -DEFAULT_TOLS.simplex_negative
+                   or abs(r.sum(axis=1) - 1).max(initial=0) > DEFAULT_TOLS.simplex_sum
                    for r in accepted):
                 raise ValueError("a Dirichlet draw left the probability simplex")
             queue = [np.concatenate([q, r]) for q, r in zip(queue, accepted)]

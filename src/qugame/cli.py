@@ -21,7 +21,6 @@ import sys
 import numpy as np
 
 from . import builders, classical, gamedoc, geometry, quantum
-from .quantum import ComplexPreorder
 
 __all__ = ["run_cli", "main"]
 
@@ -29,10 +28,6 @@ __all__ = ["run_cli", "main"]
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _preorder(args) -> ComplexPreorder:
-    return ComplexPreorder.from_name(args.preorder)
 
 
 def _certificate_doc(accepted: bool, epsilon: float, gains, extra: dict) -> dict:
@@ -65,9 +60,7 @@ def _cmd_solve(args) -> int:
         }
         gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
         return 0
-    report = quantum.grid_search_pure_nash(
-        game, args.resolution, args.epsilon, preorder=_preorder(args)
-    )
+    report = quantum.grid_search_pure_nash(game, args.resolution, args.epsilon)
     doc = {
         "kind": "grid_search",
         "game": "quantum",
@@ -98,7 +91,6 @@ def _cmd_dynamics(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
-        preorder=_preorder(args),
     )
     doc = {
         "kind": "dynamics_outcome",
@@ -125,22 +117,20 @@ def _cmd_verify(args) -> int:
     if isinstance(game, classical.FiniteGame):
         profile = gamedoc.parse_profile(_read(args.play), game.strategy_counts)
         certificate = classical.is_epsilon_nash(game, profile, args.epsilon)
-        gains = classical.deviation_gains(game, profile)
+        gains = (certificate.per_player_gain if certificate is not None
+                 else classical.deviation_gains(game, profile))
         doc = _certificate_doc(certificate is not None, args.epsilon, gains, {})
     else:
         play = gamedoc.parse_play(_read(args.play), game.dims)
         certificate = quantum.verify_epsilon_nash_quantum(
-            game,
-            play,
-            args.epsilon,
-            preorder=_preorder(args),
-            num_probes=args.probes,
-            seed=args.seed,
+            game, play, args.epsilon, num_probes=args.probes, seed=args.seed
         )
-        gains = quantum.quantum_deviation_gains(game, play, _preorder(args))
-        extra = {"preorder": args.preorder, "probes_per_player": args.probes}
+        extra = {"probes_per_player": args.probes}
         if certificate is not None:
+            gains = certificate.per_player_gain
             extra["max_probe_gain"] = certificate.max_probe_gain
+        else:
+            gains = quantum.quantum_deviation_gains(game, play)
         doc = _certificate_doc(certificate is not None, args.epsilon, gains, extra)
     gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
     return 0 if doc["accepted"] else 1
@@ -239,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--epsilon", type=float, default=0.05)
     solve.add_argument("--resolution", type=int, default=32)
-    solve.add_argument("--preorder", choices=["real", "magnitude", "lex"], default="real")
     common(solve)
     solve.set_defaults(func=_cmd_solve)
 
@@ -248,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--start", help="play document to start from (default: seeded random)")
     dynamics.add_argument("--tol", type=float, default=1e-9)
     dynamics.add_argument("--max-iter", type=int, default=1000)
-    dynamics.add_argument("--preorder", choices=["real", "magnitude", "lex"], default="real")
     dynamics.add_argument("--trace-out", help="optional CSV trace path")
     common(dynamics)
     dynamics.set_defaults(func=_cmd_dynamics)
@@ -258,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--play", required=True, help="play or profile document")
     verify.add_argument("--epsilon", type=float, default=1e-6)
     verify.add_argument("--probes", type=int, default=32)
-    verify.add_argument("--preorder", choices=["real", "magnitude", "lex"], default="real")
     common(verify)
     verify.set_defaults(func=_cmd_verify)
 

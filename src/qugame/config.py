@@ -20,6 +20,8 @@ class Tolerances:
     indifference: float = 1e-12     # contraction-vector norm below which a player is indifferent
     cycle_match: float = 1e-8       # per-factor distance under which two plays close a cycle
     solver_epsilon: float = 1e-8    # gain bound required of exact-solver certificates
+    simplex_negative: float = 1e-12 # most negative entry a probability vector may hold
+    simplex_sum: float = 1e-10      # allowed deviation of a probability vector's sum from 1
 
 
 DEFAULT_TOLS = Tolerances()

@@ -196,7 +196,7 @@ def _complex_matrix(value, path: str, size: int | None = None) -> np.ndarray:
 
 def _unit_state(vec: np.ndarray, path: str) -> PureState:
     norm = np.linalg.norm(vec)
-    if norm < 1e-12:
+    if norm < DEFAULT_TOLS.phase_cutoff:
         raise DocumentError(path, "state vector is numerically zero")
     if abs(norm - 1.0) > NORMALIZATION_WINDOW:
         raise DocumentError(

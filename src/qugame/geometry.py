@@ -92,9 +92,9 @@ class ConvexHull3D:
     CONTAINMENT_TOL = 1e-9
     CONTAINMENT_BLOCK = 16   # points per containment-validation block
 
-    def contains(self, point: np.ndarray, *, tol: float | None = None) -> bool:
-        t = self.CONTAINMENT_TOL if tol is None else tol
-        return bool(np.all(self.normals @ np.asarray(point, float) - self.offsets <= t))
+    def contains(self, point: np.ndarray) -> bool:
+        heights = self.normals @ np.asarray(point, float) - self.offsets
+        return bool(np.all(heights <= self.CONTAINMENT_TOL))
 
 
 def convex_hull(points) -> ConvexHull3D:
@@ -157,14 +157,17 @@ class ExtremePointsReport:
     fraction: float
 
 
-def extreme_points(hull: ConvexHull3D, originals, *, tol: float = 1e-9) -> ExtremePointsReport:
+EXTREME_POINT_TOL = 1e-9   # distance under which a point coincides with a hull vertex
+
+
+def extreme_points(hull: ConvexHull3D, originals) -> ExtremePointsReport:
     """Flag each original point that coincides with a hull vertex."""
     pts = np.asarray(originals, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
     tree = cKDTree(hull.vertices)
     dists, _ = tree.query(pts)
-    flags = dists <= tol
+    flags = dists <= EXTREME_POINT_TOL
     return ExtremePointsReport(
         is_extreme=flags,
         extreme_count=int(flags.sum()),

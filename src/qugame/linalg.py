@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 __all__ = [
     "PureState",
@@ -55,11 +55,11 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
-def _fixed_phase(arr: np.ndarray, cutoff: float) -> np.ndarray:
+def _fixed_phase(arr: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant amplitude is real positive."""
     for k, a in enumerate(arr):
         m = abs(a)
-        if m > cutoff:
+        if m > DEFAULT_TOLS.phase_cutoff:
             if a.imag == 0.0 and a.real > 0.0:
                 # already canonical; the rotation below would not be an exact
                 # no-op (complex division rounds even for x/x), so skip it to
@@ -84,14 +84,14 @@ class PureState:
 
     __slots__ = ("_amplitudes",)
 
-    def __init__(self, amplitudes, *, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, amplitudes):
         arr = np.array(_as_vector(amplitudes), dtype=np.complex128)
         if arr.size < 2:
             raise ValueError("a qudit state needs dimension >= 2")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > tols.unit_norm:
+        if abs(norm - 1.0) > DEFAULT_TOLS.unit_norm:
             raise ValueError(f"state vector is not unit norm: |v| = {norm!r}")
-        arr = _fixed_phase(arr, tols.phase_cutoff)
+        arr = _fixed_phase(arr)
         arr.setflags(write=False)
         self._amplitudes = arr
 
@@ -122,14 +122,14 @@ class UnitaryOperator:
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if defect > tols.unitarity:
+        if defect > DEFAULT_TOLS.unitarity:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
         m.setflags(write=False)
         self._matrix = m
@@ -151,14 +151,14 @@ class HermitianOperator:
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix, *, tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         defect = np.abs(m - m.conj().T).max()
-        if defect > tols.hermiticity:
+        if defect > DEFAULT_TOLS.hermiticity:
             raise ValueError(f"matrix is not Hermitian: max |H - H^H| = {defect:.3e}")
         m.setflags(write=False)
         self._matrix = m

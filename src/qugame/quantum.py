@@ -11,13 +11,11 @@ supported per player:
   state's probabilities. Quadratic in each slot, best replies are top
   eigenvectors, and equilibria may fail to exist at all.
 
-Overlap payoffs are complex, so comparing them needs a preorder on the
-complex plane (real part by default). Improvement judgments, however, are
-phase-free: a player's slot state is projective, so the payoff phase is never
-theirs to keep, and the attainable optimum against fixed opponents is the
-real number |v| (the contraction-vector norm). All supported preorders agree
-on that optimum, which is why deviation gains below are magnitude gaps and
-the best response does not depend on the preorder chosen.
+Overlap payoffs are complex, but improvement judgments are phase-free: a
+player's slot state is projective, so the payoff phase is never theirs to
+keep, and the attainable optimum against fixed opponents is the real number
+|v| (the contraction-vector norm). Deviation gains below are therefore
+magnitude gaps, whatever order one might put on the complex plane.
 """
 from __future__ import annotations
 
@@ -47,7 +45,6 @@ __all__ = [
     "OverlapPayoff",
     "ObservablePayoff",
     "QuantumGame",
-    "ComplexPreorder",
     "DynamicsStatus",
     "TraceRecord",
     "DynamicsOutcome",
@@ -179,21 +176,6 @@ class QuantumGame:
         return f"QuantumGame(dims={self._dims}, payoffs=[{kinds}])"
 
 
-class ComplexPreorder(enum.Enum):
-    """Total preorders on complex payoffs used to judge improvement."""
-
-    REAL_PART = "real"
-    MAGNITUDE = "magnitude"
-    LEXICOGRAPHIC = "lex"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ComplexPreorder":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown preorder {name!r}; expected real, magnitude or lex")
-
-
 def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Game unitary applied to the tensor product of raw slot vectors.
 
@@ -293,20 +275,13 @@ def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.nda
     return 0.5 * (m + m.conj().T)  # symmetrize away rounding noise
 
 
-def best_response_overlap(
-    game: QuantumGame,
-    play: ProductPlay,
-    i: int,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
-) -> PureState:
+def best_response_overlap(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
     """Optimal slot state for an overlap player, others held fixed.
 
     The payoff is inner_product(v, q) for the contraction vector v, so the
-    optimum is v normalized, where the payoff is |v| (real, positive). All
-    supported preorders agree there; an indifferent player (v numerically
-    zero) keeps the current factor.
+    optimum is v normalized, where the payoff is |v| (real, positive). An
+    indifferent player (v numerically zero) keeps the current factor.
     """
-    del preorder  # optimum is preorder-independent; accepted for signature parity
     v = overlap_contraction(game, play, i)
     if np.linalg.norm(v) <= DEFAULT_TOLS.indifference:
         return play.factors[i]
@@ -326,15 +301,10 @@ def best_response_observable(game: QuantumGame, play: ProductPlay, i: int) -> Pu
     return canonicalize_phase(vecs[:, idx])
 
 
-def best_response(
-    game: QuantumGame,
-    play: ProductPlay,
-    i: int,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
-) -> PureState:
+def best_response(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
     """Dispatch on player ``i``'s payoff kind."""
     if isinstance(game.payoffs[i], OverlapPayoff):
-        return best_response_overlap(game, play, i, preorder)
+        return best_response_overlap(game, play, i)
     return best_response_observable(game, play, i)
 
 
@@ -388,6 +358,9 @@ def play_distance(a: ProductPlay, b: ProductPlay) -> float:
     )
 
 
+CYCLE_WINDOW = 32   # sweeps of history searched for a revisit
+
+
 def iterated_best_response(
     game: QuantumGame,
     start: ProductPlay | None = None,
@@ -395,18 +368,16 @@ def iterated_best_response(
     tol: float = 1e-9,
     max_iter: int = 1000,
     seed: int | np.random.Generator | None = None,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
-    cycle_window: int = 32,
 ) -> DynamicsOutcome:
     """Round-robin best-response dynamics from ``start`` (Haar-random if None).
 
     Players update in index order within each sweep. The run converges when no
     factor moved more than ``tol`` in projective distance over a sweep. A
     sweep that lands within the cycle-match tolerance of a play seen at least
-    two sweeps earlier stops with a detected cycle; the window bounds how far
-    back plays are remembered. A revisit only counts as a cycle while the
-    play is still moving much faster than the revisit gap, so the shrinking
-    tail of a convergent run is never misread as an orbit.
+    two sweeps earlier stops with a detected cycle; only the last
+    ``CYCLE_WINDOW`` sweeps are remembered. A revisit only counts as a cycle
+    while the play is still moving much faster than the revisit gap, so the
+    shrinking tail of a convergent run is never misread as an orbit.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -414,12 +385,12 @@ def iterated_best_response(
         raise ValueError("max_iter must be positive")
     play = start if start is not None else random_play(game, seed)
     game.check_play(play)
-    history: deque[tuple[int, ProductPlay]] = deque(maxlen=cycle_window)
+    history: deque[tuple[int, ProductPlay]] = deque(maxlen=CYCLE_WINDOW)
     trace: list[TraceRecord] = []
     for sweep in range(1, max_iter + 1):
         previous = play
         for i in range(game.num_players):
-            play = play.replace(i, best_response(game, play, i, preorder))
+            play = play.replace(i, best_response(game, play, i))
         step = play_distance(previous, play)
         trace.append(
             TraceRecord(
@@ -459,14 +430,11 @@ def multi_start_dynamics(
     tol: float = 1e-9,
     max_iter: int = 500,
     seed: int | np.random.Generator | None = None,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
 ) -> list[DynamicsOutcome]:
     """Run the dynamics from ``num_starts`` Haar-random starts (one shared rng)."""
     rng = as_rng(seed)
     return [
-        iterated_best_response(
-            game, random_play(game, rng), tol=tol, max_iter=max_iter, preorder=preorder
-        )
+        iterated_best_response(game, random_play(game, rng), tol=tol, max_iter=max_iter)
         for _ in range(num_starts)
     ]
 
@@ -519,7 +487,6 @@ class QuantumEquilibriumCertificate:
     play: ProductPlay
     epsilon: float
     per_player_gain: tuple[float, ...]
-    preorder: ComplexPreorder
     probes_per_player: int
     max_probe_gain: float
 
@@ -528,19 +495,14 @@ class QuantumEquilibriumCertificate:
             raise ValueError("certificate epsilon is below the recorded gains")
 
 
-def quantum_deviation_gains(
-    game: QuantumGame,
-    play: ProductPlay,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
-) -> np.ndarray:
+def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
     """Attainable unilateral improvement per player.
 
     Overlap players: |v| - |current payoff|, the exact projective optimum gap
-    (nonnegative, preorder-independent). Observable players: top eigenvalue of
+    (nonnegative). Observable players: top eigenvalue of
     the effective observable minus the current payoff, which is read off the
     same v or M (|<v, f>| or <f, M f> at the player's factor f).
     """
-    del preorder  # improvement is phase-free; accepted for signature parity
     game.check_play(play)
     gains = np.empty(game.num_players)
     for i, spec in enumerate(game.payoffs):
@@ -560,7 +522,6 @@ def verify_epsilon_nash_quantum(
     play: ProductPlay,
     epsilon: float,
     *,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
     num_probes: int = 32,
     seed: int | np.random.Generator | None = 0,
 ) -> QuantumEquilibriumCertificate | None:
@@ -576,7 +537,7 @@ def verify_epsilon_nash_quantum(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     game.check_play(play)
-    gains = quantum_deviation_gains(game, play, preorder)
+    gains = quantum_deviation_gains(game, play)
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
     for i, spec in enumerate(game.payoffs if num_probes else ()):
@@ -592,12 +553,7 @@ def verify_epsilon_nash_quantum(
         max_probe = max(max_probe, float(values[1:].max() - values[0]))
     if gains.max() <= epsilon and max_probe <= epsilon:
         return QuantumEquilibriumCertificate(
-            play,
-            float(epsilon),
-            tuple(gains),
-            preorder,
-            num_probes,
-            float(max_probe),
+            play, float(epsilon), tuple(gains), num_probes, float(max_probe)
         )
     return None
 
@@ -674,18 +630,13 @@ class GridSearchReport:
 
 
 def grid_best_response_payoff(
-    game: QuantumGame,
-    play: ProductPlay,
-    i: int,
-    resolution: int,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
+    game: QuantumGame, play: ProductPlay, i: int, resolution: int
 ) -> float:
     """Best scalar payoff player ``i`` reaches on the qubit grid, others fixed.
 
     Overlap payoffs enter as magnitudes (the grid fixes representatives, so
     only the phase-free summary is comparable to the analytic optimum).
     """
-    del preorder  # improvement is phase-free; accepted for signature parity
     game.check_play(play)
     if game.dims[i] != 2:
         raise ValueError("the grid oracle handles qubit slots only")
@@ -700,22 +651,18 @@ def grid_best_response_payoff(
     return float(np.einsum("ak,kl,al->a", np.conj(grid), m, grid).real.max())
 
 
-def grid_search_pure_nash(
-    game: QuantumGame,
-    resolution: int,
-    epsilon: float,
-    *,
-    preorder: ComplexPreorder = ComplexPreorder.REAL_PART,
-    max_reported: int = 64,
-) -> GridSearchReport:
+GRID_MAX_REPORTED = 64   # equilibrium indices kept in a grid-search report
+
+
+def grid_search_pure_nash(game: QuantumGame, resolution: int, epsilon: float) -> GridSearchReport:
     """Scan all product plays of two qubit grids for epsilon-equilibria.
 
     A play passes when neither player can raise their scalar payoff (overlap
     magnitude, or the observable value) by more than ``epsilon`` within their
     own grid. The report also carries the play minimizing the larger of the
-    two gains, which doubles as a search hint when nothing passes.
+    two gains, which doubles as a search hint when nothing passes. The first
+    ``GRID_MAX_REPORTED`` passing plays in row-major order are listed.
     """
-    del preorder  # improvement is phase-free; accepted for signature parity
     if game.num_players != 2 or game.dims != (2, 2):
         raise ValueError("the grid oracle handles two qubit players only")
     if resolution > MAX_GRID_RESOLUTION:
@@ -729,7 +676,7 @@ def grid_search_pure_nash(
     flat_best = int(np.argmin(worst))
     best_index = (flat_best // worst.shape[1], flat_best % worst.shape[1])
     hits = np.argwhere(worst <= epsilon)
-    indices = tuple((int(a), int(b)) for a, b in hits[:max_reported])
+    indices = tuple((int(a), int(b)) for a, b in hits[:GRID_MAX_REPORTED])
     return GridSearchReport(
         resolution=resolution,
         epsilon=float(epsilon),

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from qugame import builders as bld
+from qugame import classical, geometry, quantum
 from qugame import gamedoc as gd
-from qugame import geometry
 from qugame.classical import FiniteGame
 from qugame.cli import run_cli
 from qugame.linalg import PureState
@@ -154,6 +154,8 @@ def test_verify_quantum_accepts_equilibrium_play(tmp_path):
              "--probes", 8, "--seed", 2, "--out", out)
     doc = load(out)
     assert rc == 0
+    assert set(doc) == {"kind", "accepted", "epsilon", "per_player_gain",
+                        "probes_per_player", "max_probe_gain"}
     assert doc["accepted"] is True
     assert doc["per_player_gain"] == [0, 0]
     assert doc["max_probe_gain"] <= doc["epsilon"]
@@ -171,6 +173,8 @@ def test_verify_quantum_rejects_bad_play(tmp_path):
              "--probes", 8, "--seed", 2, "--out", out)
     doc = load(out)
     assert rc == 1
+    assert set(doc) == {"kind", "accepted", "epsilon", "per_player_gain",
+                        "probes_per_player"}
     assert doc["accepted"] is False
     assert doc["per_player_gain"][0] == pytest.approx(1.0, abs=1e-9)
     assert doc["per_player_gain"][1] == 0
@@ -196,6 +200,33 @@ def test_verify_finite_accepts_uniform_pennies(tmp_path):
     assert rc == 0
     assert doc["accepted"] is True
     assert doc["per_player_gain"] == [0, 0]
+
+
+def test_verify_computes_gains_once_when_accepted(tmp_path, monkeypatch):
+    calls = []
+    for module, name in ((quantum, "quantum_deviation_gains"), (classical, "deviation_gains")):
+        def counting(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    game = build(tmp_path, "bell-state-prep")
+    play = tmp_path / "play.json"
+    play.write_text(
+        gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([1, 0])))) + "\n"
+    )
+    assert run("verify", "--input", game, "--play", play, "--probes", 8,
+               "--out", tmp_path / "cert.json") == 0
+    assert calls == ["quantum_deviation_gains"]
+
+    finite = tmp_path / "mp.json"
+    finite.write_text(gd.serialize_game(MATCHING_PENNIES) + "\n")
+    prof = tmp_path / "prof.json"
+    prof.write_text(gd.serialize_profile(
+        classical.MixedProfile((np.array([0.5, 0.5]), np.array([0.5, 0.5])))) + "\n")
+    assert run("verify", "--input", finite, "--play", prof, "--epsilon", 1e-8,
+               "--out", tmp_path / "cert2.json") == 0
+    assert calls == ["quantum_deviation_gains", "deviation_gains"]
 
 
 # -------------------------------------------------------------- geometry ---

@@ -209,19 +209,6 @@ def test_best_response_observable_dominates_random_deviations():
         assert qq.observable_payoff(game, play.replace(0, dev), 0) <= best_val + 1e-12
 
 
-def test_preorders_agree_at_the_optimum():
-    rng = np.random.default_rng(35)
-    game = build_state_preparation_game(
-        (2, 2), haar_random_unitary(4, rng), (haar_random_state(4, rng),) * 2
-    )
-    play = qq.random_play(game, rng)
-    values = []
-    for pre in qq.ComplexPreorder:
-        br = qq.best_response(game, play, 0, pre)
-        values.append(abs(qq.overlap_payoff(game, play.replace(0, br), 0)))
-    assert max(values) - min(values) < 1e-12
-
-
 # ---------------------------------------------------------------- dynamics ---
 
 def test_bell_dynamics_converges_in_two_sweeps():
