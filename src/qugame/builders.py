@@ -62,10 +62,16 @@ def build_state_preparation_game(
     return QuantumGame(dims, unitary, specs)
 
 
+# grover_iterate peaks at 72 MiB for 10 qubits, 16 times that (1.1 GiB) for 12
+MAX_QUBITS = 12
+
+
 def grover_iterate(n_qubits: int, target_index: int) -> UnitaryOperator:
     """One search iterate: reflect about the marked state, then about the mean."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceed the limit of {MAX_QUBITS}")
     n = 1 << n_qubits
     if not 0 <= target_index < n:
         raise ValueError(f"target index {target_index} out of range for {n} basis states")
@@ -94,8 +100,8 @@ def build_grover_game(
         raise ValueError(f"player split {player_split} must be positive and sum to {n_qubits}")
     if iterations < 1:
         raise ValueError("need at least one iterate")
-    n = 1 << n_qubits
     step = grover_iterate(n_qubits, target_index).matrix
+    n = 1 << n_qubits
     q = np.linalg.matrix_power(step, iterations)
     marked = np.zeros(n)
     marked[target_index] = 1.0

@@ -69,9 +69,7 @@ def _cmd_solve(args) -> int:
         "num_plays": report.num_plays,
         "num_equilibria": report.num_equilibria,
         "min_max_gain": report.min_max_gain,
-        "best_play": [
-            gamedoc._vector_pairs(f.amplitudes) for f in report.best_play().factors
-        ],
+        "best_play": [f.amplitudes for f in report.best_play().factors],
         "equilibrium_indices": [list(pair) for pair in report.equilibrium_indices],
     }
     gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
@@ -98,13 +96,9 @@ def _cmd_dynamics(args) -> int:
         "iterations": outcome.iterations,
         "period": outcome.period,
         "cycle_start": outcome.cycle_start,
-        "final_play": [
-            gamedoc._vector_pairs(f.amplitudes) for f in outcome.play.factors
-        ],
-        "final_payoffs": [
-            gamedoc._pair(quantum.payoff(game, outcome.play, i))
-            for i in range(game.num_players)
-        ],
+        "final_play": [f.amplitudes for f in outcome.play.factors],
+        "final_payoffs": np.array([quantum.payoff(game, outcome.play, i)
+                                   for i in range(game.num_players)], dtype=np.complex128),
     }
     gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
     if args.trace_out:

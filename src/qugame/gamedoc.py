@@ -3,7 +3,9 @@
 One document describes one game (or one play, profile, or schedule). Complex
 numbers are [re, im] pairs; reals are written with 17 significant digits so a
 parse-serialize round trip is exact; field order is fixed, making serialized
-bytes stable across runs.
+bytes stable across runs. Arrays are written with one %-format call and read
+as one float64 array; input failing that bulk check meets the per-element
+walk, which alone reports errors, naming the offending field.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +88,10 @@ def _emit(value, out: list[str]) -> None:
         out.append(json.dumps(value))
     elif value is None:
         out.append("null")
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+        if value.dtype.kind == "c":   # [re, im] pairs
+            value = np.ascontiguousarray(value, complex).view(float).reshape(*value.shape, 2)
+        out.append(_format_reals(value))
     elif isinstance(value, dict):
         out.append("{")
         for k, (key, item) in enumerate(value.items()):
@@ -105,16 +112,17 @@ def _emit(value, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(z) for z in row] for row in m]
-
-
-def _vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in v]
+def _format_reals(x: np.ndarray, template: str | None = None) -> str:
+    """x's entries in the %.17g slots of ``template`` (default: JSON lists of x's
+    shape), as format_real writes them; + 0.0 folds -0.0 into 0 and moves nothing else."""
+    x = np.asarray(x, dtype=np.float64) + 0.0
+    if not np.isfinite(x).all():
+        format_real(float(x[~np.isfinite(x)][0]))   # raises its ValueError
+    if template is None:
+        template = "%.17g"
+        for n in reversed(x.shape):
+            template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(x.ravel().tolist())
 
 
 # ---------------------------------------------------------------- parsing ---
@@ -169,10 +177,30 @@ def _list(value, path: str) -> list:
     return value
 
 
+def _bulk_reals(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """Nested lists of exactly ``shape`` with finite int/float leaves as one
+    float64 array, else None: the caller's per-element walk names the fault."""
+    leaves = [value]
+    for n in shape:
+        if set(map(type, leaves)) - {list} or set(map(len, leaves)) - {n}:
+            return None
+        leaves = list(chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        x = np.array(leaves, dtype=np.float64)
+    except OverflowError:   # an integer literal too large for a real
+        return None
+    return x.reshape(shape) if np.isfinite(x).all() else None
+
+
 def _complex_vector(value, path: str, length: int | None = None) -> np.ndarray:
     items = _list(value, path)
     if length is not None and len(items) != length:
         raise DocumentError(path, f"expected {length} entries, got {len(items)}")
+    bulk = _bulk_reals(items, (len(items), 2))
+    if bulk is not None:
+        return bulk.view(np.complex128)[..., 0]
     return np.array(
         [_complex(z, f"{path}[{k}]") for k, z in enumerate(items)], dtype=np.complex128
     )
@@ -182,16 +210,13 @@ def _complex_matrix(value, path: str, size: int | None = None) -> np.ndarray:
     rows = _list(value, path)
     if size is not None and len(rows) != size:
         raise DocumentError(path, f"expected {size} rows, got {len(rows)}")
-    width = size if size is not None else None
-    parsed = []
-    for r, row in enumerate(rows):
-        vec = _complex_vector(row, f"{path}[{r}]", width)
-        if width is None:
-            width = vec.size
-        parsed.append(vec)
-    if not parsed:
+    if not rows:
         raise DocumentError(path, "matrix must be nonempty")
-    return np.vstack(parsed)
+    width = len(_list(rows[0], f"{path}[0]")) if size is None else size
+    bulk = _bulk_reals(rows, (len(rows), width, 2))
+    if bulk is not None:
+        return bulk.view(np.complex128)[..., 0]
+    return np.vstack([_complex_vector(row, f"{path}[{r}]", width) for r, row in enumerate(rows)])
 
 
 def _unit_state(vec: np.ndarray, path: str) -> PureState:
@@ -214,6 +239,9 @@ def _unit_target(value, path: str, length: int) -> PureState:
 
 
 def _nested_shape(value, shape: tuple[int, ...], path: str) -> np.ndarray:
+    bulk = _bulk_reals(value, shape)
+    if bulk is not None:
+        return bulk
     if not shape:
         return np.array(_real(value, path))
     items = _list(value, path)
@@ -285,10 +313,7 @@ def _parse_quantum(doc: dict) -> QuantumGame:
                 raise DocumentError(
                     f"{path}.observable", f"expected {joint} eigenvalues, got {len(entries)}"
                 )
-            eigenvalues = np.array(
-                [_real(e, f"{path}.observable[{k}]") for k, e in enumerate(entries)]
-            )
-            specs.append(ObservablePayoff(eigenvalues))
+            specs.append(ObservablePayoff(_nested_shape(entries, (joint,), f"{path}.observable")))
         else:
             raise DocumentError(path, f"unknown payoff kind {key!r}")
     return QuantumGame(dims, unitary, specs)
@@ -301,21 +326,21 @@ def serialize_game(game: FiniteGame | QuantumGame) -> str:
             "schema_version": SCHEMA_VERSION,
             "kind": "finite",
             "strategy_counts": list(game.strategy_counts),
-            "payoff_tensors": [t.tolist() for t in game.payoff_tensors],
+            "payoff_tensors": list(game.payoff_tensors),
         }
         return canonical_json(doc)
     if isinstance(game, QuantumGame):
         payoffs = []
         for spec in game.payoffs:
             if isinstance(spec, OverlapPayoff):
-                payoffs.append({"overlap": _vector_pairs(spec.target.amplitudes)})
+                payoffs.append({"overlap": spec.target.amplitudes})
             else:
-                payoffs.append({"observable": [float(e) for e in spec.eigenvalues]})
+                payoffs.append({"observable": spec.eigenvalues})
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": "quantum",
             "dims": list(game.dims),
-            "unitary": _matrix_pairs(game.unitary.matrix),
+            "unitary": game.unitary.matrix,
             "payoffs": payoffs,
         }
         return canonical_json(doc)
@@ -343,7 +368,7 @@ def serialize_play(play: ProductPlay) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "play",
-        "factors": [_vector_pairs(f.amplitudes) for f in play.factors],
+        "factors": [f.amplitudes for f in play.factors],
     }
     return canonical_json(doc)
 
@@ -403,8 +428,8 @@ def serialize_schedule(schedule: AdiabaticSchedule) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "schedule",
-        "h_initial": _matrix_pairs(schedule.h_initial.matrix),
-        "h_final": _matrix_pairs(schedule.h_final.matrix),
+        "h_initial": schedule.h_initial.matrix,
+        "h_final": schedule.h_final.matrix,
         "s_values": [float(s) for s in schedule.s_values],
         "time": float(schedule.time),
     }
@@ -474,23 +499,29 @@ def read_point_cloud(path: str) -> np.ndarray:
     if not lines:
         raise DocumentError("$", "point cloud file is empty")
     start = 1 if lines[0].lower().replace(" ", "") == "x,y,z" else 0
-    points = []
-    for n, line in enumerate(lines[start:], start=start + 1):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise DocumentError(f"line {n}", f"expected 3 columns, got {len(cells)}")
-        try:
-            points.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DocumentError(f"line {n}", f"not a number: {exc}") from exc
-    arr = np.array(points, dtype=np.float64)
+    rows = [line.split(",") for line in lines[start:]]
+    try:   # float(), not numpy's string parser, which accepts other spellings
+        values = list(map(float, chain.from_iterable(rows)))
+    except ValueError:
+        values = None
+    if values is not None and set(map(len, rows)) == {3}:
+        arr = np.array(values).reshape(-1, 3)
+    else:   # the per-line walk names the first malformed line
+        points = []
+        for n, cells in enumerate(rows, start=start + 1):
+            if len(cells) != 3:
+                raise DocumentError(f"line {n}", f"expected 3 columns, got {len(cells)}")
+            try:
+                points.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise DocumentError(f"line {n}", f"not a number: {exc}") from exc
+        arr = np.array(points, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DocumentError("$", "point cloud has non-finite entries")
     return arr
 
 
 def write_point_cloud(path: str, points: np.ndarray) -> None:
-    lines = ["x,y,z"]
-    for p in np.asarray(points, dtype=np.float64):
-        lines.append(",".join(format_real(float(c)) for c in p))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    points = np.asarray(points, dtype=np.float64)
+    rows = ["x,y,z"] + [",".join(["%.17g"] * points.shape[-1])] * len(points)
+    write_text_atomic(path, _format_reals(points, "\n".join(rows) + "\n"))

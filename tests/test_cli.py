@@ -3,6 +3,7 @@
 Everything runs in-process through run_cli against files in tmp_path; one
 test goes through a real subprocess to cover the module entry point.
 """
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,6 +68,49 @@ def test_build_grover_rejects_bad_split(tmp_path):
              "--out", out)
     assert rc == 1
     assert not out.exists()
+
+
+def test_build_grover_refuses_too_many_qubits_before_allocating(tmp_path, monkeypatch, capsys):
+    # 16 qubits split 8,8 passes the split check; the iterate would need two
+    # 2**16 x 2**16 float arrays (32 GiB each), so nothing may be allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.eye reached for an oversized register")
+
+    monkeypatch.setattr(bld.np, "eye", refuse)
+    out = tmp_path / "g.json"
+    rc = run("build", "--kind", "grover", "--n-qubits", 16, "--split", "8,8", "--out", out)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: 16 qubits exceed the limit of {bld.MAX_QUBITS}\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match="limit"):
+        bld.grover_iterate(bld.MAX_QUBITS + 1, 0)
+
+
+# sha256 of `build` output as first written by the element-by-element codec;
+# a codec change must leave every byte of these documents where it was
+BUILD_DIGESTS = {
+    ("bell-state-prep",): "b5ae866da683b98404a96f29b89a92a883bfce50886b050077db50bb11953918",
+    ("grover",): "83ed87aec21f395067323fcb8f195e1cb43f17c71744ade13a2a7d6fab7af834",
+    ("adiabatic",): "cdc7e912ab8a204622cf5d4aa81f829eeeea2046abf1469016c6d4f7190f657c",
+    ("adiabatic", "--s", "0.3"):
+        "c3a912737b33468d0ee116e9f478d6aaf429778abb617320e4bdd36c17f54e92",
+    ("alignment-demo",): "d0843f0c50733448051f8839e4b33a6ac000982dfac9a0a9d7e2e46f7ee0329e",
+    ("schedule",): "f7d692b4ab255adf46141c2be848ccb6631a18bb7542c47e99024a084e25ea03",
+    ("grover", "--n-qubits", "6", "--target-index", "37", "--split", "2,4", "--iterations", "2"):
+        "12676decf270b16798cac3395138977db4b753a92eaed9535e85562672b35f0a",
+}
+
+
+@pytest.mark.parametrize("args", list(BUILD_DIGESTS), ids=" ".join)
+def test_build_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "doc.json"
+    assert run("build", "--kind", *args, "--out", out) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == BUILD_DIGESTS[args]
+    if args[0] == "grover" and len(args) > 1:
+        again = gd.serialize_game(gd.parse_game(data.decode())) + "\n"
+        assert hashlib.sha256(again.encode()).hexdigest() == BUILD_DIGESTS[args]
 
 
 # ----------------------------------------------------------------- solve ---

@@ -1,4 +1,5 @@
 """Document codecs: canonical JSON, round trips, CSV and point-cloud files."""
+import json
 import math
 import os
 
@@ -297,3 +298,209 @@ def test_point_cloud_rejects_malformed_rows(tmp_path):
     path.write_text("")
     with pytest.raises(gd.DocumentError, match="empty"):
         gd.read_point_cloud(str(path))
+
+
+# ------------------------------------------ bulk codec against references ---
+# The element-by-element codec the bulk paths replaced, kept as the oracle:
+# the recursive emitter and the per-element decoders.
+
+def reference_json(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return gd.format_real(value)
+    return "[" + ",".join(reference_json(item) for item in value) + "]"
+
+
+def reference_pairs(a: np.ndarray):
+    if a.ndim == 0:
+        return [float(a.real), float(a.imag)]
+    return [reference_pairs(row) for row in a]
+
+
+def reference_real(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise gd.DocumentError(path, f"expected a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise gd.DocumentError(path, "integer literal is too large for a real") from None
+    if not math.isfinite(x):
+        raise gd.DocumentError(path, f"expected a finite real, got {value!r}")
+    return x
+
+
+def reference_vector(value, path, length=None):
+    if not isinstance(value, list):
+        raise gd.DocumentError(path, f"expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise gd.DocumentError(path, f"expected {length} entries, got {len(value)}")
+    out = []
+    for k, z in enumerate(value):
+        if not isinstance(z, list) or len(z) != 2:
+            raise gd.DocumentError(f"{path}[{k}]", f"expected a [re, im] pair, got {z!r}")
+        out.append(complex(reference_real(z[0], f"{path}[{k}][0]"),
+                           reference_real(z[1], f"{path}[{k}][1]")))
+    return np.array(out, dtype=np.complex128)
+
+
+def reference_matrix(value, path, size=None):
+    if not isinstance(value, list):
+        raise gd.DocumentError(path, f"expected a list, got {type(value).__name__}")
+    if size is not None and len(value) != size:
+        raise gd.DocumentError(path, f"expected {size} rows, got {len(value)}")
+    width, parsed = size, []
+    for r, row in enumerate(value):
+        vec = reference_vector(row, f"{path}[{r}]", width)
+        width = vec.size if width is None else width
+        parsed.append(vec)
+    if not parsed:
+        raise gd.DocumentError(path, "matrix must be nonempty")
+    return np.vstack(parsed)
+
+
+def reference_nested(value, shape, path):
+    if not shape:
+        return np.array(reference_real(value, path))
+    if not isinstance(value, list):
+        raise gd.DocumentError(path, f"expected a list, got {type(value).__name__}")
+    if len(value) != shape[0]:
+        raise gd.DocumentError(path, f"expected {shape[0]} entries, got {len(value)}")
+    return np.stack([reference_nested(v, shape[1:], f"{path}[{k}]") for k, v in enumerate(value)])
+
+
+def outcome(decode, *args):
+    """The decoded bytes, or the error's type, field path and message."""
+    try:
+        result = decode(*args)
+    except gd.DocumentError as exc:
+        return type(exc), exc.path, str(exc)
+    return result.dtype, result.shape, result.tobytes()
+
+
+EDGE_REALS = (0.0, -0.0, 5e-324, -2.2250738585072e-308, 1.7e308, -1.7e308,
+              3.0, -12.0, 2.0**53, 0.1)
+reals = st.one_of(st.sampled_from(EDGE_REALS), st.floats(allow_nan=False, allow_infinity=False))
+shapes = st.one_of(st.tuples(st.integers(0, 16)), st.tuples(st.integers(1, 16), st.integers(0, 16)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes, st.lists(reals, min_size=1, max_size=24))
+def test_bulk_codec_matches_the_element_walk(shape, values):
+    # the drawn values, repeated cyclically to fill the array
+    pairs = np.resize(np.array(values, dtype=np.float64), shape + (2,))
+    real = pairs[..., 0].copy()
+    assert gd.canonical_json(real) == reference_json(real.tolist())
+    z = pairs.view(np.complex128).reshape(shape)
+    text = gd.canonical_json(z)
+    assert text == reference_json(reference_pairs(z))
+    doc = json.loads(text)   # integer-valued entries come back as int leaves
+    if len(shape) == 1:
+        assert outcome(gd._complex_vector, doc, "v", shape[0]) == outcome(
+            reference_vector, doc, "v", shape[0])
+    elif shape[0]:
+        assert outcome(gd._complex_matrix, doc, "m", None) == outcome(
+            reference_matrix, doc, "m", None)
+    if all(shape):   # strategy counts are at least 1
+        doc = json.loads(gd.canonical_json(real))
+        assert outcome(gd._nested_shape, doc, shape, "t") == outcome(
+            reference_nested, doc, shape, "t")
+
+
+def test_bulk_emit_raises_format_reals_error_on_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as ref:
+            reference_json([1.5, bad])
+        with pytest.raises(ValueError) as new:
+            gd.canonical_json(np.array([1.5, bad]))
+        assert str(new.value) == str(ref.value)
+        with pytest.raises(ValueError) as new:
+            gd.canonical_json(np.array([[1.5, complex(0.0, bad)]]))
+        assert str(new.value) == str(ref.value)
+
+
+MALFORMED_LEAVES = ("true", '"1.5"', "null", "NaN", "1e400", "1" + "0" * 400)
+WIDE_INTEGER_LEAVES = ("1" + "0" * 300, str(2**64 + 1), "-0")
+
+
+@pytest.mark.parametrize("leaf", MALFORMED_LEAVES + WIDE_INTEGER_LEAVES)
+@pytest.mark.parametrize("where", (0, -1))
+def test_leaves_decode_as_the_element_walk_does(leaf, where):
+    text = reference_json(reference_pairs(haar_random_state(16, 7).amplitudes.reshape(4, 4)))
+    cut = text.index("[[[") + 3 if where == 0 else text.rindex(",") + 1
+    end = text.index(",", cut) if where == 0 else text.index("]", cut)
+    bad = json.loads(text[:cut] + leaf + text[end:])
+    assert outcome(gd._complex_matrix, bad, "m", 4) == outcome(reference_matrix, bad, "m", 4)
+    assert outcome(gd._complex_matrix, bad, "m") == outcome(reference_matrix, bad, "m")
+    assert outcome(gd._complex_vector, bad[where], "v", 4) == outcome(
+        reference_vector, bad[where], "v", 4)
+    assert outcome(gd._nested_shape, bad, (4, 4, 2), "t") == outcome(
+        reference_nested, bad, (4, 4, 2), "t")
+    malformed = outcome(gd._complex_vector, bad[where], "v")[0] is gd.DocumentError
+    assert malformed == (leaf in MALFORMED_LEAVES)
+
+
+@pytest.mark.parametrize("mangle", ("short row", "long row", "triple", "single", "scalar row",
+                                    "dict row", "empty"))
+def test_malformed_shapes_fail_as_the_element_walk_does(mangle):
+    m = reference_pairs(haar_random_state(16, 8).amplitudes.reshape(4, 4))
+    if mangle == "short row":
+        del m[2][1]
+    elif mangle == "long row":
+        m[3].append([0, 0])
+    elif mangle == "triple":
+        m[1][3].append(0.5)
+    elif mangle == "single":
+        m[0][0] = [0.5]
+    elif mangle == "scalar row":
+        m[2] = 0.5
+    elif mangle == "dict row":
+        m[1] = {"re": 1}
+    else:
+        m = []
+    for size in (4, None):
+        got = outcome(gd._complex_matrix, m, "m", size)
+        assert got[0] is gd.DocumentError
+        assert got == outcome(reference_matrix, m, "m", size)
+    assert outcome(gd._nested_shape, m, (4, 4, 2), "t") == outcome(
+        reference_nested, m, (4, 4, 2), "t")
+
+
+@pytest.mark.parametrize("leaf", MALFORMED_LEAVES + ("[1]",))
+def test_observable_eigenvalues_fail_at_their_field(leaf):
+    game = qq.QuantumGame((2, 2), np.eye(4), [qq.ObservablePayoff(np.arange(4.0))] * 2)
+    text = gd.serialize_game(game)
+    assert gd.serialize_game(gd.parse_game(text)) == text
+    bad = text.replace('"observable":[0,1,2,3]}]', f'"observable":[0,1,{leaf},3]}}]')
+    entries = json.loads(bad)["payoffs"][1]["observable"]
+    with pytest.raises(gd.DocumentError) as ref:
+        np.array([reference_real(e, f"payoffs[1].observable[{k}]") for k, e in enumerate(entries)])
+    with pytest.raises(gd.DocumentError) as new:
+        gd.parse_game(bad)
+    assert (new.value.path, str(new.value)) == (ref.value.path, str(ref.value))
+
+
+def test_point_cloud_bulk_paths_match_the_per_line_walk(tmp_path):
+    pts = np.array([[-0.0, 5e-324, 1.7e308], [3.0, -1 / 3, 0.1], [1e-300, -2.0**60, 7.5]])
+    path = tmp_path / "cloud.csv"
+    gd.write_point_cloud(str(path), pts)
+    rows = [",".join(gd.format_real(float(c)) for c in p) for p in pts]
+    assert path.read_text() == "\n".join(["x,y,z"] + rows) + "\n"
+    # float() spellings numpy's own parser may read differently
+    path.write_text(" 1e3 , +2.5,-0\n1_0,  .5,-INF\n")
+    with pytest.raises(gd.DocumentError, match="non-finite"):
+        gd.read_point_cloud(str(path))
+    path.write_text(" 1e3 , +2.5,-0\n1_0,  .5,4.\n")
+    assert gd.read_point_cloud(str(path)).tolist() == [[1000.0, 2.5, 0.0], [10.0, 0.5, 4.0]]
+    # the first malformed line is named, with or without a header, even when
+    # the cell count divides by three
+    path.write_text("x,y,z\n1,2,3\n1,2,3,4\n1,2\n")
+    with pytest.raises(gd.DocumentError, match=r"^line 3: expected 3 columns, got 4$"):
+        gd.read_point_cloud(str(path))
+    path.write_text("1,2,3\n1,2,x\n1,2\n")
+    with pytest.raises(gd.DocumentError, match=r"^line 2: not a number: "):
+        gd.read_point_cloud(str(path))
+    path.write_text("x,y,z\n")
+    assert gd.read_point_cloud(str(path)).shape == (0,)
