@@ -233,17 +233,20 @@ def sweep_adiabatic(
 ) -> SweepReport:
     """Run best-response dynamics across the schedule's dial values.
 
-    Each dial value gets ``starts_per_s`` Haar-random starts. A row records
-    the dynamics outcome, player 1's payoff, the magnitude of the prepared
-    state's overlap with the final ground state, and whether the final play
-    passed equilibrium verification at ``epsilon``.
+    Each dial value gets ``starts_per_s`` Haar-random starts, all drawn from
+    the shared rng before any of that value's verification probes. A row
+    records the dynamics outcome, player 1's payoff, the magnitude of the
+    prepared state's overlap with the final ground state, and whether the
+    final play passed equilibrium verification at ``epsilon``.
 
     The two default targets are orthogonal, which makes the round-robin sweep
     map traceless: away from the degenerate endpoints the dynamics orbit the
     equilibria with period 2 instead of reaching them. A detected cycle is
     therefore handed to the closed-form fixed-point extraction, and the row
     reports the resolved equilibrium (outcome ``cycle_resolved``) with the
-    cycle kept only when no candidate survives verification.
+    cycle kept only when no candidate survives verification. An accepted
+    candidate's certificate is the row's, so a row is verified once unless its
+    candidate fails (this and the start order changed seeded rows on purpose).
     """
     if starts_per_s < 1:
         raise ValueError("need at least one start per dial value")
@@ -254,21 +257,22 @@ def sweep_adiabatic(
     for s in schedule.s_values:
         game = build_adiabatic_game(schedule, s)
         candidates = overlap_fixed_point_candidates(game)
-        for start_id in range(starts_per_s):
-            outcome = iterated_best_response(
-                game, random_play(game, rng), tol=tol, max_iter=max_iter
-            )
+        starts = [random_play(game, rng) for _ in range(starts_per_s)]
+        for start_id, start in enumerate(starts):
+            outcome = iterated_best_response(game, start, tol=tol, max_iter=max_iter)
             final = outcome.play
             label = outcome.status.value
+            cert = None
             if outcome.status is DynamicsStatus.CYCLE_DETECTED and candidates:
                 resolved = min(candidates, key=lambda c: play_distance(c, final))
-                if verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8, seed=rng):
-                    final = resolved
-                    label = "cycle_resolved"
+                cert = verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8, seed=rng)
+                if cert is not None:
+                    final, label = resolved, "cycle_resolved"
+            if cert is None:
+                cert = verify_epsilon_nash_quantum(game, final, epsilon, num_probes=8, seed=rng)
             value = overlap_payoff(game, final, 0)
             prepared = prepared_state(game, final)
             overlap_mag = abs(np.vdot(ground.amplitudes, prepared.amplitudes))
-            cert = verify_epsilon_nash_quantum(game, final, epsilon, num_probes=8, seed=rng)
             ok = cert is not None
             converged += int(outcome.converged)
             verified += int(ok)

@@ -240,7 +240,7 @@ def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 sols[k] = np.linalg.solve(system, rhs)
             except np.linalg.LinAlgError:
                 solved[k] = False
-    return sols[:, :m, 0], solved & ~(sols[:, :m, 0].min(axis=1) < -1e-9)
+    return sols[:, :m, 0], solved & ~(sols[:, :m, 0].min(axis=1) < -DEFAULT_TOLS.support_weight)
 
 
 def _embed(weights: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
@@ -289,7 +289,7 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
                 continue
             dx, dy = profile.distributions
             if any(
-                np.abs(dx - px).max() <= 1e-8 and np.abs(dy - py).max() <= 1e-8
+                max(np.abs(dx - px).max(), np.abs(dy - py).max()) <= DEFAULT_TOLS.equilibrium_match
                 for px, py in seen
             ):
                 continue

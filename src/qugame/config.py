@@ -22,6 +22,12 @@ class Tolerances:
     solver_epsilon: float = 1e-8    # gain bound required of exact-solver certificates
     simplex_negative: float = 1e-12 # most negative entry a probability vector may hold
     simplex_sum: float = 1e-10      # allowed deviation of a probability vector's sum from 1
+    support_weight: float = 1e-9    # most negative solved weight a support may keep
+    equilibrium_match: float = 1e-8 # max-norm gap under which two equilibria are one
+    eigenvalue_tie: float = 1e-12   # gap under which top eigenvalues form one block
+    flat: float = 1e-14             # facet normal length, or ray-to-plane rate, read as zero
+    centered: float = 1e-15         # radius under which a point sits at the hull centre
+    ball_slack: float = 1e-9        # relative slack of the closed-ball and inside-hull checks
 
 
 DEFAULT_TOLS = Tolerances()

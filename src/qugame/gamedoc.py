@@ -9,6 +9,7 @@ walk, which alone reports errors, naming the offending field.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -128,10 +129,16 @@ def _format_reals(x: np.ndarray, template: str | None = None) -> str:
 # ---------------------------------------------------------------- parsing ---
 
 def _load(text: str) -> dict:
+    # the [re, im] lists json.loads keeps (65,536 at d=256) trigger futile full collections
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except ValueError as exc:   # also integer literals past Python's digit limit
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be an object")
     return doc

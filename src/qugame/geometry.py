@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import QhullError, cKDTree
 
+from .config import DEFAULT_TOLS
 from .linalg import PureState, as_rng, _as_vector
 
 __all__ = [
@@ -124,7 +125,7 @@ def convex_hull(points) -> ConvexHull3D:
     a, b, c = (vertices[facets[:, k]] for k in range(3))
     normals = np.cross(b - a, c - a)
     norms = np.linalg.norm(normals, axis=1)
-    if norms.min() < 1e-14:
+    if norms.min() < DEFAULT_TOLS.flat:
         raise ValueError("hull facet is degenerate")
     normals /= norms[:, None]
     normals[np.einsum("ij,ij->i", normals, a - centroid) < 0] *= -1.0   # point outward
@@ -180,7 +181,7 @@ def support_radius(hull: ConvexHull3D, direction: np.ndarray) -> float:
     d = np.asarray(direction, dtype=np.float64)
     heights = hull.offsets - hull.normals @ hull.centroid   # all > 0: centroid is interior
     rates = hull.normals @ d
-    ahead = rates > 1e-14
+    ahead = rates > DEFAULT_TOLS.flat
     if not np.any(ahead):
         raise ValueError("direction escapes every facet plane; hull is degenerate")
     return float(np.min(heights[ahead] / rates[ahead]))
@@ -195,11 +196,11 @@ def ball_homeomorphism(hull: ConvexHull3D, point) -> np.ndarray:
     p = np.asarray(point, dtype=np.float64)
     u = p - hull.centroid
     r = np.linalg.norm(u)
-    if r < 1e-15:
+    if r < DEFAULT_TOLS.centered:
         return np.zeros(3)
     direction = u / r
     rho = support_radius(hull, direction)
-    if r > rho * (1.0 + 1e-9):
+    if r > rho * (1.0 + DEFAULT_TOLS.ball_slack):
         raise ValueError("point lies outside the hull")
     return u / rho
 
@@ -208,9 +209,9 @@ def ball_homeomorphism_inverse(hull: ConvexHull3D, point) -> np.ndarray:
     """Inverse radial rescaling: unit-ball point back into the hull."""
     y = np.asarray(point, dtype=np.float64)
     r = np.linalg.norm(y)
-    if r > 1.0 + 1e-9:
+    if r > 1.0 + DEFAULT_TOLS.ball_slack:
         raise ValueError("point lies outside the closed unit ball")
-    if r < 1e-15:
+    if r < DEFAULT_TOLS.centered:
         return hull.centroid.copy()
     rho = support_radius(hull, y / r)
     return hull.centroid + y * rho
@@ -227,7 +228,7 @@ def hemisphere_retract(point) -> np.ndarray:
     x = np.asarray(point, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("expected a point in R^m with m >= 2")
-    if np.linalg.norm(x) > 1.0 + 1e-9:
+    if np.linalg.norm(x) > 1.0 + DEFAULT_TOLS.ball_slack:
         raise ValueError("point lies outside the closed unit ball")
     head = x[:-1]
     slack = 1.0 - float(head @ head)
@@ -274,9 +275,15 @@ def sample_hull_boundary(
     )
 
 
+MAX_BOUNDARY_SAMPLES = 1_000_000   # about 105 bytes each at the coincidence check's peak
+
+
 def _check_sampling(num_boundary_samples: int, delta: float) -> None:
     if not num_boundary_samples >= 1:
         raise ValueError(f"num_boundary_samples must be >= 1, got {num_boundary_samples!r}")
+    if num_boundary_samples > MAX_BOUNDARY_SAMPLES:   # before anything is allocated
+        raise ValueError(f"num_boundary_samples must be <= {MAX_BOUNDARY_SAMPLES}, "
+                         f"got {num_boundary_samples!r}")
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be a finite real > 0, got {delta!r}")
 

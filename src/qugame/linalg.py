@@ -323,6 +323,23 @@ def haar_random_state(dimension: int, seed: int | np.random.Generator | None) ->
     return canonicalize_phase(z)
 
 
+def _haar_rows(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar states as rows, bit for bit ``count`` :func:`haar_random_state`
+    calls and their rng stream: norms from ``np.linalg.norm``'s strided dot products,
+    pivot modulus by ``hypot``, the scalar phase rule for a tiny or real pivot."""
+    draw = rng.standard_normal((count, 2, dimension))
+    z = draw[:, 0] + 1j * draw[:, 1]
+    rows = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+    pivot = rows[:, 0]
+    modulus = np.hypot(pivot.real, pivot.imag)
+    scalar = (modulus <= DEFAULT_TOLS.phase_cutoff) | (pivot.imag == 0.0)
+    fixed = rows * (pivot.conj() / np.where(scalar, 1.0, modulus))[:, None]
+    fixed[:, 0] = fixed[:, 0].real
+    for k in np.flatnonzero(scalar):
+        fixed[k] = _fixed_phase(rows[k])
+    return fixed
+
+
 def haar_random_unitary(dimension: int, seed: int | np.random.Generator | None) -> UnitaryOperator:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     if dimension < 1:

@@ -33,6 +33,7 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _haar_rows,
     as_rng,
     canonicalize_phase,
     fubini_study_distance,
@@ -194,6 +195,20 @@ def prepared_state(game: QuantumGame, play: ProductPlay) -> PureState:
     return canonicalize_phase(prepared_vector(game, [f.amplitudes for f in play.factors]))
 
 
+def _payoff_of(spec: PayoffSpec, prepared: np.ndarray) -> complex | float:
+    """One payoff read off a prepared joint vector."""
+    if isinstance(spec, OverlapPayoff):
+        return inner_product(spec.target, prepared)
+    return float(spec.eigenvalues @ np.abs(prepared) ** 2)
+
+
+def _all_payoffs(game: QuantumGame, play: ProductPlay) -> tuple[complex, ...]:
+    """Every player's :func:`payoff`, read off one prepared vector."""
+    game.check_play(play)
+    prepared = prepared_vector(game, [f.amplitudes for f in play.factors])
+    return tuple(complex(_payoff_of(spec, prepared)) for spec in game.payoffs)
+
+
 def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     """Complex overlap of player ``i``'s target with the prepared play.
 
@@ -204,8 +219,7 @@ def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     spec = game.payoffs[i]
     if not isinstance(spec, OverlapPayoff):
         raise TypeError(f"player {i} does not use an overlap payoff")
-    prepared = prepared_vector(game, [f.amplitudes for f in play.factors])
-    return inner_product(spec.target, prepared)
+    return _payoff_of(spec, prepared_vector(game, [f.amplitudes for f in play.factors]))
 
 
 def observable_payoff(game: QuantumGame, play: ProductPlay, i: int) -> float:
@@ -214,15 +228,12 @@ def observable_payoff(game: QuantumGame, play: ProductPlay, i: int) -> float:
     spec = game.payoffs[i]
     if not isinstance(spec, ObservablePayoff):
         raise TypeError(f"player {i} does not use an observable payoff")
-    prepared = prepared_vector(game, [f.amplitudes for f in play.factors])
-    return float(spec.eigenvalues @ np.abs(prepared) ** 2)
+    return _payoff_of(spec, prepared_vector(game, [f.amplitudes for f in play.factors]))
 
 
 def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     """Player ``i``'s payoff as a complex number regardless of payoff kind."""
-    if isinstance(game.payoffs[i], OverlapPayoff):
-        return overlap_payoff(game, play, i)
-    return complex(observable_payoff(game, play, i))
+    return _all_payoffs(game, play)[i]
 
 
 def _slot_map(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
@@ -297,7 +308,7 @@ def best_response_observable(game: QuantumGame, play: ProductPlay, i: int) -> Pu
     m = effective_observable(game, play, i)
     w, vecs = np.linalg.eigh(m)
     top = w.max()
-    idx = int(np.argmax(w >= top - 1e-12))
+    idx = int(np.argmax(w >= top - DEFAULT_TOLS.eigenvalue_tie))
     return canonicalize_phase(vecs[:, idx])
 
 
@@ -392,13 +403,7 @@ def iterated_best_response(
         for i in range(game.num_players):
             play = play.replace(i, best_response(game, play, i))
         step = play_distance(previous, play)
-        trace.append(
-            TraceRecord(
-                sweep,
-                tuple(payoff(game, play, i) for i in range(game.num_players)),
-                step,
-            )
-        )
+        trace.append(TraceRecord(sweep, _all_payoffs(game, play), step))
         if step <= tol:
             return DynamicsOutcome(
                 DynamicsStatus.CONVERGED, play, sweep, tuple(trace)
@@ -531,8 +536,9 @@ def verify_epsilon_nash_quantum(
     player as a redundant check: a sampled deviation can never beat the
     closed-form optimum, so a probe gain above epsilon means rejection was
     correct anyway, and the recorded maximum makes the certificate auditable.
-    Each player's probes (one Haar state each, players in index order) are
-    prepared in one product ``U @ J``, independently of the analytic gains.
+    Each player's probes (players in index order) are drawn as one array, bit
+    for bit ``num_probes`` Haar states and their rng stream, and prepared in
+    one product ``U @ J``, independently of the analytic gains.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -541,10 +547,9 @@ def verify_epsilon_nash_quantum(
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
     for i, spec in enumerate(game.payoffs if num_probes else ()):
-        slot = [play.factors[i].amplitudes]  # column 0: the current play
-        slot += [haar_random_state(game.dims[i], rng).amplitudes for _ in range(num_probes)]
+        probes = _haar_rows(game.dims[i], num_probes, rng)
         columns = [f.amplitudes[:, None] for f in play.factors]
-        columns[i] = np.array(slot).T
+        columns[i] = np.vstack([play.factors[i].amplitudes, probes]).T  # column 0: the play
         prepared = game.unitary.matrix @ reduce(np.kron, columns)  # one joint vector per column
         if isinstance(spec, OverlapPayoff):
             values = np.abs(spec.target.amplitudes.conj() @ prepared)
@@ -582,29 +587,29 @@ def _scalar_payoff_tables(
     """Scalar payoff tables over the joint grid for both players of a 2-qubit game.
 
     Overlap entries are payoff magnitudes (the phase-free summary improvement
-    is judged on); observable entries are the real payoff itself. Computed in
-    row blocks to bound memory at resolution 64.
+    is judged on), bilinear in the slots: ``|grid @ T @ grid.T|`` for T the 2x2
+    conjugate pull-back. Observable entries are the real payoff itself, computed
+    on the joint grid states in row blocks to bound memory at resolution 64.
     """
     n = grid.shape[0]
-    u = game.unitary.matrix
-    tables = [np.empty((n, n)) for _ in range(2)]
-    pulled = [
-        _pull_back(game, spec.target.amplitudes) if isinstance(spec, OverlapPayoff) else None
-        for spec in game.payoffs
-    ]
+    tables, observers = [], []
+    for i, spec in enumerate(game.payoffs):
+        if isinstance(spec, OverlapPayoff):
+            pulled = np.conj(_pull_back(game, spec.target.amplitudes)).reshape(2, 2)
+            tables.append(np.abs(grid @ pulled @ grid.T))
+        else:
+            tables.append(np.empty((n, n)))
+            observers.append(i)
+    if not observers:
+        return tables[0], tables[1]
     block = max(1, (1 << 22) // max(n, 1))
     for start in range(0, n, block):
         rows = grid[start : start + block]
         joint = np.einsum("ak,bl->abkl", rows, grid).reshape(rows.shape[0], n, 4)
-        probs = None
-        for i, spec in enumerate(game.payoffs):
-            if isinstance(spec, OverlapPayoff):
-                values = joint @ np.conj(pulled[i])
-                tables[i][start : start + rows.shape[0]] = np.abs(values)
-            else:
-                if probs is None:
-                    probs = np.abs(joint @ u.T) ** 2
-                tables[i][start : start + rows.shape[0]] = probs @ spec.eigenvalues
+        probs = np.abs(joint @ game.unitary.matrix.T) ** 2
+        for i in observers:
+            tables[i][start : start + rows.shape[0]] = probs @ game.payoffs[i].eigenvalues
+        del probs   # one block's probabilities alive at a time
     return tables[0], tables[1]
 
 
@@ -709,12 +714,6 @@ class NonlinearityWitness:
         return abs(self.mixed_value - self.average_value)
 
 
-def _ambient_observable_value(game: QuantumGame, factors: list, i: int) -> float:
-    spec = game.payoffs[i]
-    prepared = prepared_vector(game, factors)
-    return float(spec.eigenvalues @ np.abs(prepared) ** 2)
-
-
 def observable_nonlinearity_witness() -> NonlinearityWitness:
     """Shipped witness: an agreement game where mixing basis states pays 0.25,
     while the average of the endpoint payoffs is 0.5."""
@@ -728,10 +727,12 @@ def observable_nonlinearity_witness() -> NonlinearityWitness:
     b = np.array([0.0, 1.0], dtype=np.complex128)
     other = np.array([1.0, 0.0], dtype=np.complex128)
     mu = 0.5
-    mixed = _ambient_observable_value(game, [mu * a + (1 - mu) * b, other], 0)
-    average = mu * _ambient_observable_value(game, [a, other], 0) + (
-        1 - mu
-    ) * _ambient_observable_value(game, [b, other], 0)
+
+    def value(slot):   # player 0's payoff on the ambient, unnormalized slot vector
+        return _payoff_of(game.payoffs[0], prepared_vector(game, [slot, other]))
+
+    mixed = value(mu * a + (1 - mu) * b)
+    average = mu * value(a) + (1 - mu) * value(b)
     return NonlinearityWitness(
         game=game,
         player=0,

@@ -192,6 +192,42 @@ def test_sweep_is_deterministic():
     assert a.converged == b.converged and a.verified == b.verified
 
 
+def test_sweep_verifies_each_row_once(monkeypatch):
+    # interior dial values resolve their cycles and the candidate's certificate
+    # is the row's; the endpoints converge and only the final play is verified
+    # (a rejected candidate would add the final play's verification to its row)
+    verified = []
+    real = bld.verify_epsilon_nash_quantum
+
+    def counting(game, play, *args, **kwargs):
+        cert = real(game, play, *args, **kwargs)
+        verified.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(bld, "verify_epsilon_nash_quantum", counting)
+    report = bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, seed=17)
+    assert len(verified) == report.num_rows == 22
+    assert sum(verified) == report.verified
+    assert {row.outcome for row in report.rows} == {"converged", "cycle_resolved"}
+
+
+def test_sweep_draws_a_dial_values_starts_before_its_probes(monkeypatch):
+    sched = bld.demo_adiabatic_schedule()
+    mid = bld.AdiabaticSchedule(sched.h_initial, sched.h_final, (0.5,), sched.time)
+    starts = []
+    real = bld.iterated_best_response
+
+    def recording(game, start, **kwargs):
+        starts.append(start)
+        return real(game, start, **kwargs)
+
+    monkeypatch.setattr(bld, "iterated_best_response", recording)
+    bld.sweep_adiabatic(mid, 3, seed=17)
+    rng = np.random.default_rng(17)
+    game = bld.build_adiabatic_game(mid, 0.5)
+    assert starts == [qq.random_play(game, rng) for _ in range(3)]
+
+
 def test_sweep_resolves_the_orthogonal_target_orbit():
     # interior dial values orbit with period 2 because the targets are
     # orthogonal; rows must come back labeled as resolved, not converged,

@@ -113,6 +113,43 @@ def test_build_bytes_are_pinned(tmp_path, args):
         assert hashlib.sha256(again.encode()).hexdigest() == BUILD_DIGESTS[args]
 
 
+# sha256 of `verify` and `solve` output on the Bell game as written before the
+# probes were drawn as one array and the overlap grid tables were factored;
+# both changes must leave every byte of these documents where it was
+BELL_DIGESTS = {
+    ("verify", "equilibrium"):
+        "6a8c2ecc721bf174d5e80becd34d735439bb6858b91f3e8d5ede9cf8b8e53ae8",
+    ("verify", "equilibrium", "--probes", "8", "--seed", "2"):
+        "b98a5ed10464bd61363f47e3cdaa18980a2afb9b99887e16260e02f002245cfe",
+    ("verify", "off", "--probes", "8", "--seed", "2"):
+        "6d52aad4d74754af1b58abd91c45393fb5cfa262ac0d887117411128e2d9f7c7",
+    ("verify", "equilibrium", "--probes", "0"):
+        "aef24387666d10da895212b14194c5c4c1ac98933ee454de068fdb027f583237",
+    ("solve", "bell-state-prep", "--resolution", "16"):
+        "203f74bda3db8888726e78e0b2b11fbf668c141b6f93034526cc4869195556e6",
+    ("solve", "bell-state-prep", "--resolution", "32"):
+        "f825ed27c0338c407073b30574489881bb566390a8575d2410b299202a1bb030",
+    ("solve", "alignment-demo", "--resolution", "32"):
+        "a0d689d25422e84e18a5669552e5ccfb4aec14790384d8b3e462aacf4ce02dec",
+}
+
+
+@pytest.mark.parametrize("args", list(BELL_DIGESTS), ids=" ".join)
+def test_verify_and_solve_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "doc.json"
+    if args[0] == "verify":
+        plays = {"equilibrium": ([1, 0], [1, 0]), "off": ([0, 1], [1, 0])}
+        play = tmp_path / "play.json"
+        play.write_text(gd.serialize_play(
+            ProductPlay([PureState(f) for f in plays[args[1]]])) + "\n")
+        rc = run("verify", "--input", build(tmp_path, "bell-state-prep"), "--play", play,
+                 *args[2:], "--out", out)
+        assert rc == (1 if args[1] == "off" else 0)
+    else:
+        assert run("solve", "--input", build(tmp_path, args[1]), *args[2:], "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_DIGESTS[args]
+
+
 # ----------------------------------------------------------------- solve ---
 
 def test_solve_finite_matching_pennies(tmp_path):
@@ -343,6 +380,29 @@ def test_geometry_rejects_bad_sampling_before_reading(tmp_path, capsys, flag, va
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [geometry.MAX_BOUNDARY_SAMPLES + 1, 10**12])
+def test_geometry_refuses_too_many_boundary_samples_before_allocating(
+    tmp_path, monkeypatch, capsys, count
+):
+    # the count is refused before the cloud is read or a sample is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized sample count reached an allocation")
+
+    cloud = tmp_path / "cloud.csv"
+    _hemisphere_csv(cloud, 50, seed=2)
+    for module, name in ((gd, "read_point_cloud"), (geometry, "convex_hull"),
+                         (geometry, "sample_hull_boundary"), (geometry.np, "asarray")):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "geo.json"
+    assert run("geometry", "--input", cloud, "--boundary-samples", count, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: num_boundary_samples must be <= "
+                   f"{geometry.MAX_BOUNDARY_SAMPLES}, got {count}\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="must be <="):
+        geometry.boundary_coincidence_check(None, num_boundary_samples=count)
 
 
 # ----------------------------------------------------------------- sweep ---

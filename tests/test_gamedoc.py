@@ -1,4 +1,5 @@
 """Document codecs: canonical JSON, round trips, CSV and point-cloud files."""
+import gc
 import json
 import math
 import os
@@ -131,6 +132,29 @@ def test_parse_rejects_invalid_json_and_non_objects():
         gd.parse_game("nope")
     with pytest.raises(gd.DocumentError, match="root"):
         gd.parse_game("[1,2]")
+
+
+def test_parsing_pauses_the_collector_and_restores_its_state(monkeypatch):
+    seen = []
+    real = gd.json.loads
+
+    def recording(text):
+        seen.append(gc.isenabled())
+        return real(text)
+
+    monkeypatch.setattr(gd.json, "loads", recording)
+    text = gd.serialize_game(bld.bell_state_preparation_demo())
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gd.parse_game(text)
+            with pytest.raises(gd.DocumentError):
+                gd.parse_game("nope")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
 
 
 HUGE = "1" + "0" * 400             # overflows a float

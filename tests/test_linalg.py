@@ -10,6 +10,7 @@ from qugame.linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _haar_rows,
     apply_unitary,
     as_rng,
     canonicalize_phase,
@@ -212,6 +213,32 @@ def test_haar_state_and_unitary_are_seeded():
     u2 = haar_random_unitary(3, 42)
     assert_allclose(u1.matrix, u2.matrix, atol=0)
     assert_allclose(u1.matrix.conj().T @ u1.matrix, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 4, 16, 32])
+def test_haar_rows_repeat_haar_random_state_bit_for_bit(dimension):
+    for seed in range(20):
+        rows_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        rows = _haar_rows(dimension, 9, rows_rng)
+        loop = np.array([haar_random_state(dimension, loop_rng).amplitudes for _ in range(9)])
+        assert rows.tobytes() == loop.tobytes()
+        assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_haar_rows_keep_the_scalar_rule_for_a_tiny_or_real_pivot():
+    class Stub:   # a generator whose draw puts a zero and a real pivot first
+        def standard_normal(self, shape):
+            draw = np.random.default_rng(3).standard_normal(shape)
+            draw[0, :, 0] = 0.0
+            draw[1, 1, 0] = 0.0
+            return draw
+
+    rows = _haar_rows(3, 4, Stub())
+    draw = Stub().standard_normal((4, 2, 3))
+    for row, (re, im) in zip(rows, draw):
+        assert row.tobytes() == canonicalize_phase(re + 1j * im).amplitudes.tobytes()
+    assert rows[0, 0] == 0 and rows[0, 1].imag == 0 and rows[1, 0].imag == 0
 
 
 def test_as_rng_passthrough():

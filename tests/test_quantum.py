@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qugame.quantum as qq
+from qugame import builders as bld
 from qugame.builders import bell_state_preparation_demo, build_state_preparation_game
 from qugame.geometry import bloch_embedding
 from qugame.linalg import (
@@ -231,6 +232,31 @@ def test_dynamics_trace_payoffs_are_recomputable():
         assert final[i] == pytest.approx(qq.payoff(game, out.play, i), abs=1e-12)
 
 
+def test_trace_payoffs_equal_payoff_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(42)
+    game = qq.QuantumGame(
+        (2, 3, 2),
+        haar_random_unitary(12, rng),
+        (
+            qq.OverlapPayoff(haar_random_state(12, rng)),
+            qq.ObservablePayoff(rng.standard_normal(12)),
+            qq.OverlapPayoff(haar_random_state(12, rng)),
+        ),
+    )
+    prepared = []
+    real = qq.prepared_vector
+
+    def counting(*args):
+        prepared.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qq, "prepared_vector", counting)
+    out = qq.iterated_best_response(game, qq.random_play(game, rng), max_iter=5)
+    assert len(prepared) == len(out.trace)   # one prepared vector per sweep
+    monkeypatch.undo()
+    assert out.trace[-1].payoffs == tuple(qq.payoff(game, out.play, i) for i in range(3))
+
+
 def test_conflicting_targets_one_sided_win():
     # both players pull toward orthogonal basis states; the first mover wins,
     # the loser's contraction vanishes and its payoff is exactly zero
@@ -406,6 +432,66 @@ def test_grid_search_alignment_demo_has_no_pure_equilibrium():
     assert report.num_equilibria == 0
     # one player can always realign: the max gain never drops below 1/2
     assert report.min_max_gain >= 0.5 - 1e-9
+
+
+def einsum_payoff_tables(game, grid):
+    """Both scalar payoff tables from the joint grid states, as the scan first
+    computed them: one (n, n, 4) outer product contracted per player."""
+    n = grid.shape[0]
+    joint = np.einsum("ak,bl->abkl", grid, grid).reshape(n, n, 4)
+    tables = []
+    for spec in game.payoffs:
+        if isinstance(spec, qq.OverlapPayoff):
+            pulled = (spec.target.amplitudes.conj() @ game.unitary.matrix).conj()
+            tables.append(np.abs(joint @ np.conj(pulled)))
+        else:
+            tables.append(np.abs(joint @ game.unitary.matrix.T) ** 2 @ spec.eigenvalues)
+    return tables
+
+
+def assert_tables_match_oracle(game, resolution):
+    grid = qq.grid_states(resolution)
+    for spec, table, oracle in zip(
+        game.payoffs, qq._scalar_payoff_tables(game, grid), einsum_payoff_tables(game, grid)
+    ):
+        if isinstance(spec, qq.OverlapPayoff):
+            assert np.abs(table - oracle).max() <= 1e-15
+        else:   # the observable arithmetic is the oracle's, so its bits are too
+            assert table.tobytes() == oracle.tobytes()
+
+
+def _bundled_two_qubit_games():
+    schedule = bld.demo_adiabatic_schedule()
+    yield bell_state_preparation_demo()
+    yield qq.alignment_demo_game()
+    for target in range(4):
+        yield bld.build_grover_game(2, target, (1, 1))
+    for s in schedule.s_values:
+        yield bld.build_adiabatic_game(schedule, s)
+
+
+@pytest.mark.parametrize("resolution", [4, 7, 16])
+def test_factored_grid_tables_match_the_einsum_oracle_on_bundled_games(resolution):
+    for game in _bundled_two_qubit_games():
+        assert_tables_match_oracle(game, resolution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+)
+def test_factored_grid_tables_match_the_einsum_oracle(seed, resolution, mixed):
+    rng = np.random.default_rng(seed)
+    second = (qq.ObservablePayoff(rng.standard_normal(4)) if mixed
+              else qq.OverlapPayoff(haar_random_state(4, rng)))
+    game = qq.QuantumGame(
+        (2, 2),
+        haar_random_unitary(4, rng),
+        (qq.OverlapPayoff(haar_random_state(4, rng)), second),
+    )
+    assert_tables_match_oracle(game, resolution)
 
 
 # ---------------------------------------------------------- bundled demos ---
