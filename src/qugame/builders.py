@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_threshold
 from .linalg import (
     HermitianOperator,
     PureState,
@@ -21,7 +22,6 @@ from .linalg import (
     matrix_exponential_unitary,
 )
 from .quantum import (
-    DynamicsOutcome,
     DynamicsStatus,
     OverlapPayoff,
     QuantumGame,
@@ -250,6 +250,8 @@ def sweep_adiabatic(
     """
     if starts_per_s < 1:
         raise ValueError("need at least one start per dial value")
+    check_threshold("tol", tol)
+    check_threshold("epsilon", epsilon)
     rng = as_rng(seed)
     ground = ground_state(schedule.h_final)
     rows: list[SweepRow] = []

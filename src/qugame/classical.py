@@ -7,13 +7,12 @@ the multilinear contraction of a payoff tensor with all of them.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, check_threshold
 from .linalg import as_rng
 
 __all__ = [
@@ -108,17 +107,8 @@ class MixedProfile:
         return self._distributions
 
     @property
-    def num_players(self) -> int:
-        return len(self._distributions)
-
-    @property
     def strategy_counts(self) -> tuple[int, ...]:
         return tuple(d.size for d in self._distributions)
-
-    def replace(self, i: int, distribution: np.ndarray) -> "MixedProfile":
-        dists = list(self._distributions)
-        dists[i] = distribution
-        return MixedProfile(dists)
 
     def __repr__(self) -> str:
         return f"MixedProfile(strategy_counts={self.strategy_counts})"
@@ -158,15 +148,18 @@ def expected_payoff(game: FiniteGame, profile: MixedProfile, i: int) -> float:
     return float(t)
 
 
+def _deviation_payoffs(tensor: np.ndarray, dists: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Player ``i``'s tensor contracted with every other player's distribution."""
+    for j in reversed(range(len(dists))):
+        if j != i:
+            tensor = np.tensordot(tensor, dists[j], axes=([j], [0]))
+    return np.asarray(tensor, dtype=np.float64).reshape(dists[i].size)
+
+
 def pure_deviation_payoffs(game: FiniteGame, profile: MixedProfile, i: int) -> np.ndarray:
     """Player ``i``'s expected payoff for each own pure strategy, others fixed."""
     _check_compatible(game, profile)
-    t = game.payoff_tensors[i]
-    for j in reversed(range(game.num_players)):
-        if j == i:
-            continue
-        t = np.tensordot(t, profile.distributions[j], axes=([j], [0]))
-    return np.asarray(t, dtype=np.float64).reshape(game.strategy_counts[i])
+    return _deviation_payoffs(game.payoff_tensors[i], profile.distributions, i)
 
 
 def counters(game: FiniteGame, p_prime: MixedProfile, p: MixedProfile) -> bool:
@@ -195,23 +188,23 @@ def best_response_mixed(game: FiniteGame, profile: MixedProfile, i: int) -> np.n
     return best
 
 
+def _deviation_gains(tensors: Sequence[np.ndarray], dists: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`deviation_gains` on raw distribution arrays, no profile built."""
+    payoffs = [_deviation_payoffs(t, dists, i) for i, t in enumerate(tensors)]
+    return np.array([p.max() - float(p @ d) for p, d in zip(payoffs, dists)])
+
+
 def deviation_gains(game: FiniteGame, profile: MixedProfile) -> np.ndarray:
     """Per-player gap between the best pure deviation and the current payoff."""
     _check_compatible(game, profile)
-    gains = np.empty(game.num_players)
-    for i in range(game.num_players):
-        payoffs = pure_deviation_payoffs(game, profile, i)
-        current = float(payoffs @ profile.distributions[i])
-        gains[i] = payoffs.max() - current
-    return gains
+    return _deviation_gains(game.payoff_tensors, profile.distributions)
 
 
 def is_epsilon_nash(
     game: FiniteGame, profile: MixedProfile, epsilon: float
 ) -> EquilibriumCertificate | None:
     """Certificate if no player can gain more than ``epsilon``, else None."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_threshold("epsilon", epsilon)
     gains = deviation_gains(game, profile)
     if gains.max() <= epsilon:
         return EquilibriumCertificate(profile, float(epsilon), tuple(gains))
@@ -258,9 +251,10 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
     Walks support pairs in increasing size. For each size, the indifference
     systems of all ``(rows, cols)`` pairs are stacked and solved at once per
     player; pairs whose solutions stay in the simplex are then visited in
-    ``(rows, cols)`` order and kept if they survive the best-response filter.
-    Every returned certificate is checked to solver precision. Intended for
-    games with at most eight strategies per player.
+    ``(rows, cols)`` order and kept if they survive the best-response filter,
+    which reads the gains off the raw weight arrays; a ``MixedProfile`` is built
+    only for a kept equilibrium. Every returned certificate is checked to
+    solver precision. Intended for games with at most eight strategies per player.
     """
     if game.num_players != 2:
         raise ValueError("support enumeration is implemented for two players")
@@ -283,11 +277,10 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
         )
         for k in np.flatnonzero(x_ok & y_ok):
             r, c = divmod(int(k), len(cols))
-            profile = MixedProfile([_embed(xs[k], rows[r], k1), _embed(ys[k], cols[c], k2)])
-            gains = deviation_gains(game, profile)
+            dx, dy = _embed(xs[k], rows[r], k1), _embed(ys[k], cols[c], k2)
+            gains = _deviation_gains((a, b), (dx, dy))
             if gains.max() > eps:
                 continue
-            dx, dy = profile.distributions
             if any(
                 max(np.abs(dx - px).max(), np.abs(dy - py).max()) <= DEFAULT_TOLS.equilibrium_match
                 for px, py in seen
@@ -295,7 +288,7 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
                 continue
             seen.append((dx, dy))
             epsilon = float(max(gains.max(), 0.0))
-            found.append(EquilibriumCertificate(profile, epsilon, tuple(gains)))
+            found.append(EquilibriumCertificate(MixedProfile([dx, dy]), epsilon, tuple(gains)))
     return found
 
 

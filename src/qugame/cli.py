@@ -16,6 +16,7 @@ rejection, 2 usage errors. All file output is atomic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -97,8 +98,7 @@ def _cmd_dynamics(args) -> int:
         "period": outcome.period,
         "cycle_start": outcome.cycle_start,
         "final_play": [f.amplitudes for f in outcome.play.factors],
-        "final_payoffs": np.array([quantum.payoff(game, outcome.play, i)
-                                   for i in range(game.num_players)], dtype=np.complex128),
+        "final_payoffs": np.array(outcome.trace[-1].payoffs, dtype=np.complex128),
     }
     gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
     if args.trace_out:
@@ -207,6 +207,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache   # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qugame",

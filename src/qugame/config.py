@@ -6,6 +6,7 @@ tighter than operator defects, and solver certificates sit well above both.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,3 +32,9 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
+
+
+def check_threshold(name: str, value: float) -> None:
+    """Refuse a caller's threshold unless it is a finite real >= 0 (NaN is neither)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")

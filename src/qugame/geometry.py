@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull as _QHull
 from scipy.spatial import QhullError, cKDTree
 
 from .config import DEFAULT_TOLS
-from .linalg import PureState, as_rng, _as_vector
+from .linalg import PureState, _as_vector, as_rng, fubini_study_distance
 
 __all__ = [
     "bloch_embedding",
@@ -43,9 +43,21 @@ def bloch_embedding(state) -> np.ndarray:
     v = state.amplitudes if isinstance(state, PureState) else _as_vector(state)
     if v.size != 2:
         raise ValueError(f"the sphere embedding takes qubit states, got dimension {v.size}")
-    a, b = v[0], v[1]
-    cross = a.conjugate() * b
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2])
+    return _bloch_rows(v)[1:]
+
+
+def _bloch_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Rows (1, x, y, z) of qubit Bloch vectors, shape (..., 2) -> (..., 4).
+
+    The arithmetic is that of conj(a) * b and abs(a) ** 2 on numpy scalars (no
+    fused multiply-add; |a|^2 as pow(hypot(re, im), 2)), so one state's Bloch
+    vector has the same bits whether it is embedded alone or in an array.
+    """
+    a, b = amplitudes[..., 0], amplitudes[..., 1]
+    re = a.real * b.real + a.imag * b.imag
+    im = a.real * b.imag - a.imag * b.real
+    a2, b2 = (np.float_power(np.hypot(c.real, c.imag), 2.0) for c in (a, b))
+    return np.stack([np.ones_like(a2), 2.0 * re, 2.0 * im, a2 - b2], axis=-1)
 
 
 def great_circle_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -64,8 +76,6 @@ class IsometryReport:
 
 def isometry_check(pairs) -> IsometryReport:
     """Compare great-circle distance of embedded images with 2x projective distance."""
-    from .linalg import fubini_study_distance
-
     worst = 0.0
     count = 0
     for p, q in pairs:

@@ -204,23 +204,11 @@ class ProductPlay:
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dimension for f in self._factors)
 
-    @property
-    def num_players(self) -> int:
-        return len(self._factors)
-
-    @property
-    def joint_dimension(self) -> int:
-        return math.prod(self.dims)
-
     def replace(self, i: int, state: PureState) -> "ProductPlay":
         """New play with factor ``i`` swapped out."""
         factors = list(self._factors)
         factors[i] = state if isinstance(state, PureState) else PureState(state)
         return ProductPlay(factors)
-
-    def joint_vector(self) -> np.ndarray:
-        """Tensor product of the factors (canonical phases fixed per factor)."""
-        return tensor_product([f.amplitudes for f in self._factors])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductPlay):

@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, check_threshold
+from .geometry import _bloch_rows
 from .linalg import (
     ProductPlay,
     PureState,
@@ -122,25 +123,17 @@ class QuantumGame:
         joint = math.prod(dims)
         u = unitary if isinstance(unitary, UnitaryOperator) else UnitaryOperator(unitary)
         if u.dimension != joint:
-            raise ValueError(
-                f"unitary has dimension {u.dimension}, joint space needs {joint}"
-            )
+            raise ValueError(f"unitary has dimension {u.dimension}, joint space needs {joint}")
         specs = tuple(payoffs)
         if len(specs) != len(dims):
             raise ValueError(f"{len(dims)} players but {len(specs)} payoff specs")
         for i, spec in enumerate(specs):
-            if isinstance(spec, OverlapPayoff):
-                if spec.target.dimension != joint:
-                    raise ValueError(
-                        f"payoff {i}: target dimension {spec.target.dimension} != {joint}"
-                    )
-            elif isinstance(spec, ObservablePayoff):
-                if spec.eigenvalues.size != joint:
-                    raise ValueError(
-                        f"payoff {i}: {spec.eigenvalues.size} eigenvalues != {joint}"
-                    )
-            else:
+            if not isinstance(spec, (OverlapPayoff, ObservablePayoff)):
                 raise TypeError(f"payoff {i}: unknown payoff spec {type(spec).__name__}")
+            if isinstance(spec, OverlapPayoff) and spec.target.dimension != joint:
+                raise ValueError(f"payoff {i}: target dimension {spec.target.dimension} != {joint}")
+            if isinstance(spec, ObservablePayoff) and spec.eigenvalues.size != joint:
+                raise ValueError(f"payoff {i}: {spec.eigenvalues.size} eigenvalues != {joint}")
         self._dims = dims
         self._unitary = u
         self._payoffs = specs
@@ -390,8 +383,7 @@ def iterated_best_response(
     while the play is still moving much faster than the revisit gap, so the
     shrinking tail of a convergent run is never misread as an orbit.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    check_threshold("tol", tol)
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     play = start if start is not None else random_play(game, seed)
@@ -540,8 +532,9 @@ def verify_epsilon_nash_quantum(
     for bit ``num_probes`` Haar states and their rng stream, and prepared in
     one product ``U @ J``, independently of the analytic gains.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_threshold("epsilon", epsilon)
+    if num_probes < 0:
+        raise ValueError(f"num_probes must be >= 0, got {num_probes!r}")
     game.check_play(play)
     gains = quantum_deviation_gains(game, play)
     rng = as_rng(seed)
@@ -566,9 +559,11 @@ def verify_epsilon_nash_quantum(
 def grid_states(resolution: int) -> np.ndarray:
     """Qubit grid: ``resolution`` polar values in [0, pi] (inclusive) times
     ``resolution`` azimuthal values in [0, 2 pi) as state vectors, shape
-    (resolution**2, 2)."""
+    (resolution**2, 2), for resolutions 2 to ``MAX_GRID_RESOLUTION``."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if resolution > MAX_GRID_RESOLUTION:
+        raise ValueError(f"resolution {resolution} exceeds {MAX_GRID_RESOLUTION}")
     theta = np.linspace(0.0, np.pi, resolution)
     phi = np.arange(resolution) * (2.0 * np.pi / resolution)
     half = theta[:, None] / 2.0
@@ -581,35 +576,33 @@ def grid_states(resolution: int) -> np.ndarray:
 MAX_GRID_RESOLUTION = 64
 
 
+# (I, X, Y, Z): a qubit state's density matrix is s . sigma / 2 for its Bloch row s = (1, x, y, z)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
 def _scalar_payoff_tables(
     game: QuantumGame, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar payoff tables over the joint grid for both players of a 2-qubit game.
+    """Scalar payoff tables over the joint grid for both players of a 2-qubit game,
+    each one bilinear product in the slots; no joint grid state is formed.
 
     Overlap entries are payoff magnitudes (the phase-free summary improvement
-    is judged on), bilinear in the slots: ``|grid @ T @ grid.T|`` for T the 2x2
-    conjugate pull-back. Observable entries are the real payoff itself, computed
-    on the joint grid states in row blocks to bound memory at resolution 64.
+    is judged on): ``|grid @ T @ grid.T|`` for T the 2x2 conjugate pull-back.
+    Observable entries are the real payoff Tr(M rho_a (x) rho_b) for
+    M = U^H diag(eigenvalues) U, read off the Bloch rows S of the grid:
+    ``S @ R @ S.T`` with R[mu, nu] = Tr(M sigma_mu (x) sigma_nu) / 4.
     """
-    n = grid.shape[0]
-    tables, observers = [], []
-    for i, spec in enumerate(game.payoffs):
+    rows = _bloch_rows(grid)
+    tables = []
+    for spec in game.payoffs:
         if isinstance(spec, OverlapPayoff):
             pulled = np.conj(_pull_back(game, spec.target.amplitudes)).reshape(2, 2)
             tables.append(np.abs(grid @ pulled @ grid.T))
         else:
-            tables.append(np.empty((n, n)))
-            observers.append(i)
-    if not observers:
-        return tables[0], tables[1]
-    block = max(1, (1 << 22) // max(n, 1))
-    for start in range(0, n, block):
-        rows = grid[start : start + block]
-        joint = np.einsum("ak,bl->abkl", rows, grid).reshape(rows.shape[0], n, 4)
-        probs = np.abs(joint @ game.unitary.matrix.T) ** 2
-        for i in observers:
-            tables[i][start : start + rows.shape[0]] = probs @ game.payoffs[i].eigenvalues
-        del probs   # one block's probabilities alive at a time
+            u = game.unitary.matrix
+            joint = (u.conj().T @ (spec.eigenvalues[:, None] * u)).reshape(2, 2, 2, 2)
+            form = np.einsum("acbd,mba,ndc->mn", joint, _PAULIS, _PAULIS).real / 4.0
+            tables.append(rows @ form @ rows.T)
     return tables[0], tables[1]
 
 
@@ -645,15 +638,14 @@ def grid_best_response_payoff(
     game.check_play(play)
     if game.dims[i] != 2:
         raise ValueError("the grid oracle handles qubit slots only")
-    if resolution > MAX_GRID_RESOLUTION:
-        raise ValueError(f"resolution {resolution} exceeds {MAX_GRID_RESOLUTION}")
     grid = grid_states(resolution)
     spec = game.payoffs[i]
     if isinstance(spec, OverlapPayoff):
         v = overlap_contraction(game, play, i)
         return float(np.abs(grid @ np.conj(v)).max())
     m = effective_observable(game, play, i)
-    return float(np.einsum("ak,kl,al->a", np.conj(grid), m, grid).real.max())
+    weights = np.einsum("kl,mlk->m", m, _PAULIS).real / 2.0   # <q, M q> = s(q) . weights
+    return float((_bloch_rows(grid) @ weights).max())
 
 
 GRID_MAX_REPORTED = 64   # equilibrium indices kept in a grid-search report
@@ -667,17 +659,20 @@ def grid_search_pure_nash(game: QuantumGame, resolution: int, epsilon: float) ->
     own grid. The report also carries the play minimizing the larger of the
     two gains, which doubles as a search hint when nothing passes. The first
     ``GRID_MAX_REPORTED`` passing plays in row-major order are listed.
+
+    Each gain overwrites its player's table, so two n x n float tables (n =
+    resolution**2) are the working set, plus one complex n x n product while an
+    overlap table is built: at resolution 64 about 512 MiB traced for the Bell
+    game and 272 MiB for the observable alignment demo.
     """
     if game.num_players != 2 or game.dims != (2, 2):
         raise ValueError("the grid oracle handles two qubit players only")
-    if resolution > MAX_GRID_RESOLUTION:
-        raise ValueError(f"resolution {resolution} exceeds {MAX_GRID_RESOLUTION}")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_threshold("epsilon", epsilon)
     table1, table2 = _scalar_payoff_tables(game, grid_states(resolution))
-    gain1 = table1.max(axis=0)[None, :] - table1   # player 1 scans rows
-    gain2 = table2.max(axis=1)[:, None] - table2   # player 2 scans columns
-    worst = np.maximum(gain1, gain2)
+    # each player's gain overwrites their table in place
+    np.subtract(table1.max(axis=0)[None, :], table1, out=table1)   # player 1 scans rows
+    np.subtract(table2.max(axis=1)[:, None], table2, out=table2)   # player 2 scans columns
+    worst = np.maximum(table1, table2, out=table1)
     flat_best = int(np.argmin(worst))
     best_index = (flat_best // worst.shape[1], flat_best % worst.shape[1])
     hits = np.argwhere(worst <= epsilon)

@@ -183,6 +183,17 @@ def test_sweep_on_truncated_schedule():
         assert row.start_id in (0, 1)
 
 
+@pytest.mark.parametrize("name", ["tol", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_sweep_refuses_a_bad_threshold_before_any_run(monkeypatch, name, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    monkeypatch.setattr(bld, "build_adiabatic_game", refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real >= 0"):
+        bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, **{name: value})
+
+
 def test_sweep_is_deterministic():
     sched = bld.demo_adiabatic_schedule()
     small = bld.AdiabaticSchedule(sched.h_initial, sched.h_final, (0.5,), sched.time)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qugame import classical
 from qugame.classical import (
     ConvexityReport,
     FiniteGame,
@@ -358,6 +359,72 @@ def test_support_enumeration_matches_oracle_with_singular_subsystems(tensors):
     assert_certificates_equal(certs, oracle_enumeration(game))
 
 
+def profile_per_candidate_enumeration(game):
+    """The enumeration loop as it ran before the gains moved onto raw arrays:
+    the same stacked solves, but one validated profile and one
+    ``deviation_gains`` call for every candidate in the simplex."""
+    k1, k2 = game.strategy_counts
+    a, b = game.payoff_tensors
+    found, seen = [], []
+    for size in range(1, min(k1, k2) + 1):
+        rows = np.array(list(itertools.combinations(range(k1), size)))
+        cols = np.array(list(itertools.combinations(range(k2), size)))
+        ys, y_ok = classical._indifference_weights(
+            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size)
+        )
+        xs, x_ok = classical._indifference_weights(
+            b.T[cols[None, :, :, None], rows[:, None, None, :]].reshape(-1, size, size)
+        )
+        for k in np.flatnonzero(x_ok & y_ok):
+            r, c = divmod(int(k), len(cols))
+            profile = MixedProfile([classical._embed(xs[k], rows[r], k1),
+                                    classical._embed(ys[k], cols[c], k2)])
+            gains = deviation_gains(game, profile)
+            if gains.max() > DEFAULT_TOLS.solver_epsilon:
+                continue
+            dx, dy = profile.distributions
+            if any(max(np.abs(dx - px).max(), np.abs(dy - py).max())
+                   <= DEFAULT_TOLS.equilibrium_match for px, py in seen):
+                continue
+            seen.append((dx, dy))
+            found.append((dx, dy, float(max(gains.max(), 0.0)), tuple(gains)))
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+def test_support_enumeration_matches_the_profile_per_candidate_loop(k1, k2, seed, integral):
+    rng = np.random.default_rng(seed)
+    if integral:
+        game = FiniteGame([rng.integers(-2, 3, size=(k1, k2)).astype(float) for _ in range(2)])
+    else:
+        game = FiniteGame([rng.normal(size=(k1, k2)) for _ in range(2)])
+    assert_certificates_equal(support_enumeration_nash(game),
+                              profile_per_candidate_enumeration(game))
+
+
+@pytest.mark.parametrize("sizes", [(6, 6), (8, 8), (4, 7)])
+def test_support_enumeration_builds_a_profile_per_equilibrium_only(monkeypatch, sizes):
+    rng = np.random.default_rng(sum(sizes))
+    game = FiniteGame([rng.standard_normal(sizes) for _ in range(2)])
+    built = []
+    init = MixedProfile.__init__
+
+    def counting_init(self, distributions):
+        built.append(1)
+        init(self, distributions)
+
+    monkeypatch.setattr(MixedProfile, "__init__", counting_init)
+    certs = support_enumeration_nash(game)
+    assert certs
+    assert len(built) == len(certs)
+
+
 # ----------------------------------------------------------- equilibria ---
 
 def test_matching_pennies_unique_mixed_equilibrium():
@@ -421,6 +488,12 @@ def test_best_response_mixed_puts_mass_on_argmax():
 
 def test_is_epsilon_nash_rejects_pure_pennies():
     assert is_epsilon_nash(MATCHING_PENNIES, pure(MATCHING_PENNIES, 0, 0), 1e-6) is None
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+def test_is_epsilon_nash_refuses_a_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="^epsilon must be a finite real >= 0"):
+        is_epsilon_nash(MATCHING_PENNIES, uniform(MATCHING_PENNIES), epsilon)
 
 
 def test_certificate_carries_gains():

@@ -115,7 +115,9 @@ def test_build_bytes_are_pinned(tmp_path, args):
 
 # sha256 of `verify` and `solve` output on the Bell game as written before the
 # probes were drawn as one array and the overlap grid tables were factored;
-# both changes must leave every byte of these documents where it was
+# both changes must leave every byte of these documents where it was. The
+# alignment demo's digest is that of its Bloch-form observable tables, which
+# break the scan's near-ties differently from the joint-state einsum they replaced
 BELL_DIGESTS = {
     ("verify", "equilibrium"):
         "6a8c2ecc721bf174d5e80becd34d735439bb6858b91f3e8d5ede9cf8b8e53ae8",
@@ -130,7 +132,7 @@ BELL_DIGESTS = {
     ("solve", "bell-state-prep", "--resolution", "32"):
         "f825ed27c0338c407073b30574489881bb566390a8575d2410b299202a1bb030",
     ("solve", "alignment-demo", "--resolution", "32"):
-        "a0d689d25422e84e18a5669552e5ccfb4aec14790384d8b3e462aacf4ce02dec",
+        "e404edea0d5a3e13ed978c413930b5a3dc9a7816d1c0365eca73e4c6f87e450c",
 }
 
 
@@ -405,6 +407,47 @@ def test_geometry_refuses_too_many_boundary_samples_before_allocating(
         geometry.boundary_coincidence_check(None, num_boundary_samples=count)
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, name",
+    [
+        ("dynamics", "--tol", "nan", "tol"),
+        ("dynamics", "--tol", "inf", "tol"),
+        ("sweep", "--tol", "nan", "tol"),
+        ("sweep", "--epsilon", "nan", "epsilon"),
+        ("sweep", "--epsilon", "-1", "epsilon"),
+        ("verify", "--epsilon", "nan", "epsilon"),
+        ("verify", "--epsilon", "inf", "epsilon"),
+        ("verify", "--probes", "-3", "num_probes"),
+        ("verify-finite", "--epsilon", "nan", "epsilon"),
+        ("verify-finite", "--epsilon", "inf", "epsilon"),
+        ("solve", "--epsilon", "nan", "epsilon"),
+        ("solve", "--epsilon", "inf", "epsilon"),
+    ],
+)
+def test_bad_thresholds_exit_1_naming_the_parameter(tmp_path, capsys, command, flag, value, name):
+    out = tmp_path / "out.json"
+    if command == "sweep":
+        sched = tmp_path / "sched.json"
+        _small_schedule(sched)
+        argv = ["sweep", "--input", sched]
+    elif command == "verify-finite":
+        game = tmp_path / "mp.json"
+        game.write_text(gd.serialize_game(MATCHING_PENNIES) + "\n")
+        prof = tmp_path / "prof.json"
+        prof.write_text(gd.serialize_profile(classical.MixedProfile(([0.5, 0.5], [0.5, 0.5]))) + "\n")
+        argv = ["verify", "--input", game, "--play", prof]
+    elif command == "verify":
+        play = tmp_path / "play.json"
+        play.write_text(gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([1, 0])))) + "\n")
+        argv = ["verify", "--input", build(tmp_path, "bell-state-prep"), "--play", play]
+    else:
+        argv = [command, "--input", build(tmp_path, "bell-state-prep")]
+    capsys.readouterr()
+    assert run(*argv, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- sweep ---
 
 def _small_schedule(path):
@@ -451,6 +494,16 @@ def test_seeded_runs_are_byte_identical(tmp_path):
 
 
 # --------------------------------------------------------------- failure ---
+
+def test_run_cli_builds_one_parser_per_process(tmp_path):
+    from qugame import cli
+
+    cli._build_parser.cache_clear()
+    build(tmp_path, "bell-state-prep")
+    assert run("solve") == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
 
 def test_usage_errors_exit_2(tmp_path):
     assert run() == 2

@@ -47,6 +47,26 @@ def test_bloch_embedding_is_unit_and_phase_free():
         assert_allclose(geo.bloch_embedding(rotated), b, atol=1e-12)
 
 
+def scalar_bloch_embedding(v):
+    """The embedding as first written, one numpy scalar at a time."""
+    a, b = v[0], v[1]
+    cross = a.conjugate() * b
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def test_bloch_rows_keep_the_scalar_embedding_bits():
+    rng = np.random.default_rng(41)
+    states = np.vstack([np.array([haar_random_state(2, rng).amplitudes for _ in range(2000)]),
+                        rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))])
+    rows = geo._bloch_rows(states)
+    assert np.all(rows[:, 0] == 1.0)
+    for v, row in zip(states, rows):
+        expected = scalar_bloch_embedding(v).tobytes()
+        assert row[1:].tobytes() == expected
+        if abs(np.linalg.norm(v) - 1.0) < 1e-12:
+            assert geo.bloch_embedding(v).tobytes() == expected
+
+
 def test_great_circle_distance_extremes():
     u = np.array([0.0, 0.0, 1.0])
     assert geo.great_circle_distance(u, u) == pytest.approx(0.0, abs=1e-12)

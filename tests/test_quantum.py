@@ -1,5 +1,6 @@
 """Quantum games: payoffs, best responses, dynamics, verification, grids."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,6 +407,45 @@ def test_quantum_deviation_gains_at_bell_equilibrium():
     assert gains[1] == pytest.approx(0.0, abs=1e-12)
 
 
+BAD_THRESHOLDS = [math.nan, math.inf, -1.0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the parameters were checked")
+
+
+@pytest.mark.parametrize("tol", BAD_THRESHOLDS)
+def test_dynamics_refuses_a_bad_tol_before_any_sweep(monkeypatch, tol):
+    game = bell_state_preparation_demo()
+    monkeypatch.setattr(qq, "best_response", _refuse)
+    with pytest.raises(ValueError, match="^tol must be a finite real >= 0"):
+        qq.iterated_best_response(game, tol=tol, seed=0)
+
+
+@pytest.mark.parametrize("epsilon", BAD_THRESHOLDS)
+def test_verify_refuses_a_bad_epsilon_before_any_gain(monkeypatch, epsilon):
+    game = bell_state_preparation_demo()
+    play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
+    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    with pytest.raises(ValueError, match="^epsilon must be a finite real >= 0"):
+        qq.verify_epsilon_nash_quantum(game, play, epsilon)
+
+
+def test_verify_refuses_a_negative_probe_count_before_any_gain(monkeypatch):
+    game = bell_state_preparation_demo()
+    play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
+    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    with pytest.raises(ValueError, match="^num_probes must be >= 0, got -3"):
+        qq.verify_epsilon_nash_quantum(game, play, 1e-6, num_probes=-3)
+
+
+@pytest.mark.parametrize("epsilon", BAD_THRESHOLDS)
+def test_grid_search_refuses_a_bad_epsilon_before_any_table(monkeypatch, epsilon):
+    monkeypatch.setattr(qq, "_scalar_payoff_tables", _refuse)
+    with pytest.raises(ValueError, match="^epsilon must be a finite real >= 0"):
+        qq.grid_search_pure_nash(qq.alignment_demo_game(), 8, epsilon)
+
+
 # -------------------------------------------------------------- grid scan ---
 
 def test_grid_states_shape_and_norms():
@@ -456,8 +496,9 @@ def assert_tables_match_oracle(game, resolution):
     ):
         if isinstance(spec, qq.OverlapPayoff):
             assert np.abs(table - oracle).max() <= 1e-15
-        else:   # the observable arithmetic is the oracle's, so its bits are too
-            assert table.tobytes() == oracle.tobytes()
+        else:   # Bloch-form rounding, relative to the observable's scale
+            scale = max(1.0, np.abs(spec.eigenvalues).max())
+            assert np.abs(table - oracle).max() <= 1e-14 * scale
 
 
 def _bundled_two_qubit_games():
@@ -492,6 +533,55 @@ def test_factored_grid_tables_match_the_einsum_oracle(seed, resolution, mixed):
         (qq.OverlapPayoff(haar_random_state(4, rng)), second),
     )
     assert_tables_match_oracle(game, resolution)
+
+
+@pytest.mark.parametrize("resolution", [8, 16, 32])
+def test_alignment_scan_best_play_is_a_minimum_of_the_oracle_gains(resolution):
+    # the Bloch-form tables may break near-ties differently from the einsum
+    # oracle, but the play they pick must be minimal in the oracle's own gains
+    game = qq.alignment_demo_game()
+    report = qq.grid_search_pure_nash(game, resolution, epsilon=0.05)
+    table1, table2 = einsum_payoff_tables(game, qq.grid_states(resolution))
+    worst = np.maximum(table1.max(axis=0)[None, :] - table1,
+                       table2.max(axis=1)[:, None] - table2)
+    assert worst[report.best_index] - worst.min() <= 1e-15
+    assert report.min_max_gain == pytest.approx(worst.min(), abs=1e-15)
+
+
+# alignment demo: no joint grid states (the row-block einsum peaked at
+# 896 MiB); Bell: the gains overwrite their tables (was 679 MiB)
+@pytest.mark.parametrize("game, bound_mib",
+                         [(qq.alignment_demo_game(), 450), (bell_state_preparation_demo(), 600)],
+                         ids=["alignment-demo", "bell"])
+def test_grid_scan_peak_memory_at_resolution_64(game, bound_mib):
+    tracemalloc.start()
+    try:
+        qq.grid_search_pure_nash(game, qq.MAX_GRID_RESOLUTION, epsilon=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_oracle_observable_branch_brackets_the_top_eigenvalue(seed):
+    rng = np.random.default_rng(seed)
+    game = qq.QuantumGame(
+        (2, 2),
+        haar_random_unitary(4, rng),
+        (qq.ObservablePayoff(rng.standard_normal(4)), qq.ObservablePayoff(rng.standard_normal(4))),
+    )
+    states = qq.grid_states(64)
+    for trial in range(3):
+        play = qq.random_play(game, rng)
+        for player in range(2):
+            m = qq.effective_observable(game, play, player)
+            top = np.linalg.eigvalsh(m)[-1]
+            grid = qq.grid_best_response_payoff(game, play, player, 64)
+            assert top - 1e-3 <= grid <= top + 1e-12
+            # <q, M q> state by state, as the oracle computed it on amplitudes
+            direct = np.einsum("ak,kl,al->a", states.conj(), m, states).real.max()
+            assert grid == pytest.approx(direct, abs=1e-12)
 
 
 # ---------------------------------------------------------- bundled demos ---
