@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import builders, classical, gamedoc, geometry, quantum
+from . import builders, classical, config, gamedoc, geometry, quantum
 
 __all__ = ["run_cli", "main"]
 
@@ -43,6 +43,8 @@ def _certificate_doc(accepted: bool, epsilon: float, gains, extra: dict) -> dict
 
 
 def _cmd_solve(args) -> int:
+    config.check_threshold("epsilon", args.epsilon)   # checked for finite games too, though unused
+    quantum._check_resolution(args.resolution)
     game = gamedoc.parse_game(_read(args.input))
     if isinstance(game, classical.FiniteGame):
         certificates = classical.support_enumeration_nash(game)
@@ -107,6 +109,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    quantum._check_verify_args(args.epsilon, args.probes)   # --probes is unused on finite games
     game = gamedoc.parse_game(_read(args.input))
     if isinstance(game, classical.FiniteGame):
         profile = gamedoc.parse_profile(_read(args.play), game.strategy_counts)

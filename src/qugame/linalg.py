@@ -283,9 +283,13 @@ def fubini_study_distance(p, q) -> float:
     av, bv = _as_vector(p), _as_vector(q)
     if av.size != bv.size:
         raise ValueError(f"dimension mismatch: {av.size} vs {bv.size}")
-    inner = np.vdot(av, bv)
-    residual = bv - av * inner
-    return float(np.arctan2(np.linalg.norm(residual), abs(inner)))
+    return _projective_distance(av, bv)
+
+
+def _projective_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`fubini_study_distance` of two raw unit vectors of one size, unchecked."""
+    inner = np.vdot(a, b)
+    return float(np.arctan2(np.linalg.norm(b - a * inner), abs(inner)))
 
 
 def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> UnitaryOperator:

@@ -34,10 +34,11 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _fixed_phase,
     _haar_rows,
+    _projective_distance,
     as_rng,
     canonicalize_phase,
-    fubini_study_distance,
     haar_random_state,
     inner_product,
     tensor_product,
@@ -158,9 +159,11 @@ class QuantumGame:
     def payoffs(self) -> tuple[PayoffSpec, ...]:
         return self._payoffs
 
-    def check_play(self, play: ProductPlay) -> None:
+    def check_play(self, play: ProductPlay) -> list[np.ndarray]:
+        """Refuse a play of other dims than the game's; return its raw factor arrays."""
         if play.dims != self._dims:
             raise ValueError(f"play dims {play.dims} do not match game dims {self._dims}")
+        return [f.amplitudes for f in play.factors]
 
     def __repr__(self) -> str:
         kinds = ",".join(
@@ -182,10 +185,17 @@ def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndar
     return game.unitary.matrix @ joint
 
 
+def _spec_of(game: QuantumGame, i: int, kind: type) -> PayoffSpec:
+    """Player ``i``'s payoff spec, refused unless it is a ``kind``."""
+    spec = game.payoffs[i]
+    if not isinstance(spec, kind):
+        raise TypeError(f"player {i} does not use an {kind.__name__}")
+    return spec
+
+
 def prepared_state(game: QuantumGame, play: ProductPlay) -> PureState:
     """Canonical representative of the prepared joint state."""
-    game.check_play(play)
-    return canonicalize_phase(prepared_vector(game, [f.amplitudes for f in play.factors]))
+    return canonicalize_phase(prepared_vector(game, game.check_play(play)))
 
 
 def _payoff_of(spec: PayoffSpec, prepared: np.ndarray) -> complex | float:
@@ -195,57 +205,70 @@ def _payoff_of(spec: PayoffSpec, prepared: np.ndarray) -> complex | float:
     return float(spec.eigenvalues @ np.abs(prepared) ** 2)
 
 
-def _all_payoffs(game: QuantumGame, play: ProductPlay) -> tuple[complex, ...]:
-    """Every player's :func:`payoff`, read off one prepared vector."""
-    game.check_play(play)
-    prepared = prepared_vector(game, [f.amplitudes for f in play.factors])
-    return tuple(complex(_payoff_of(spec, prepared)) for spec in game.payoffs)
-
-
 def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     """Complex overlap of player ``i``'s target with the prepared play.
 
     Computed on the raw prepared vector, so it is exactly linear in each
     player's slot vector; the factors' canonical phases pin the value.
     """
-    game.check_play(play)
-    spec = game.payoffs[i]
-    if not isinstance(spec, OverlapPayoff):
-        raise TypeError(f"player {i} does not use an overlap payoff")
-    return _payoff_of(spec, prepared_vector(game, [f.amplitudes for f in play.factors]))
+    factors = game.check_play(play)
+    return _payoff_of(_spec_of(game, i, OverlapPayoff), prepared_vector(game, factors))
 
 
 def observable_payoff(game: QuantumGame, play: ProductPlay, i: int) -> float:
     """Expected value of player ``i``'s basis-diagonal observable on the play."""
-    game.check_play(play)
-    spec = game.payoffs[i]
-    if not isinstance(spec, ObservablePayoff):
-        raise TypeError(f"player {i} does not use an observable payoff")
-    return _payoff_of(spec, prepared_vector(game, [f.amplitudes for f in play.factors]))
+    factors = game.check_play(play)
+    return _payoff_of(_spec_of(game, i, ObservablePayoff), prepared_vector(game, factors))
 
 
 def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     """Player ``i``'s payoff as a complex number regardless of payoff kind."""
-    return _all_payoffs(game, play)[i]
+    return complex(_payoff_of(game.payoffs[i], prepared_vector(game, game.check_play(play))))
 
 
-def _slot_map(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Matrix W, shape (joint, dims[i]), with prepared_vector == W @ q when
-    player ``i`` plays q and the others keep their factors.
+def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Player ``i``'s payoff as a form in their slot vector q, the others keeping
+    their raw ``factors``: v = W^H target (payoff <v, q>) for an overlap player,
+    the Hermitian M = W^H diag(eigenvalues) W (payoff <q, M q>) for an observable
+    one, where W, shape (joint, dims[i]), gives prepared_vector == W @ q.
 
-    Contracts U's column axes with the opponents' factors: O(d^2) time at joint
+    W contracts U's column axes with the opponents' factors: O(d^2) time at joint
     dimension d, no joint operator formed, O(joint * dims[i]) memory for two
     players (with more, the first contraction holds d^2 / dims[j] entries for
     the last opponent j).
     """
-    game.check_play(play)
     dims = game.dims
-    tens = game.unitary.matrix.reshape((game.joint_dimension, *dims))
+    w = game.unitary.matrix.reshape((game.joint_dimension, *dims))
     # highest axis first keeps the lower axis numbers valid; matmul reads the view uncopied
     for j in reversed(range(len(dims))):
         if j != i:
-            tens = np.moveaxis(tens, j + 1, -1) @ play.factors[j].amplitudes
-    return tens.reshape(-1, dims[i])
+            w = np.moveaxis(w, j + 1, -1) @ factors[j]
+    w = w.reshape(-1, dims[i])
+    spec = game.payoffs[i]
+    if isinstance(spec, OverlapPayoff):
+        return (spec.target.amplitudes.conj() @ w).conj()
+    m = w.conj().T @ (spec.eigenvalues[:, None] * w)
+    return 0.5 * (m + m.conj().T)  # symmetrize away rounding noise
+
+
+def _slot_optimum(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> tuple:
+    """Player ``i``'s raw canonical best response to raw ``factors``, its payoff and
+    the current factor f's payoff, from one :func:`_slot_form` and at most one eigh.
+    Overlap: v / |v| pays |v| against |<v, f>|; an indifferent player (|v| within
+    tolerance) keeps f. Observable: M's top eigenvector pays the top eigenvalue
+    against <f, M f>; in a degenerate top block the lowest-index vector is taken."""
+    spec, f = game.payoffs[i], factors[i]
+    form = _slot_form(game, factors, i)
+    if isinstance(spec, OverlapPayoff):
+        attainable, current = np.linalg.norm(form), abs(np.vdot(form, f))
+        if attainable <= DEFAULT_TOLS.indifference:
+            return f, attainable, current
+        direction = form
+    else:
+        values, vectors = np.linalg.eigh(form)
+        attainable, current = values.max(), np.vdot(f, form @ f).real
+        direction = vectors[:, int(np.argmax(values >= attainable - DEFAULT_TOLS.eigenvalue_tie))]
+    return _fixed_phase(direction / np.linalg.norm(direction)), attainable, current
 
 
 def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
@@ -254,62 +277,37 @@ def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
 
 
 def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q.
-
-    W^H target for W from :func:`_slot_map`: O(d^2) time, O(joint * dims[i])
-    memory, no joint operator formed.
-    """
-    spec = game.payoffs[i]
-    if not isinstance(spec, OverlapPayoff):
-        raise TypeError(f"player {i} does not use an overlap payoff")
-    return (spec.target.amplitudes.conj() @ _slot_map(game, play, i)).conj()
+    """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q,
+    in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
+    _spec_of(game, i, OverlapPayoff)
+    return _slot_form(game, game.check_play(play), i)
 
 
 def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Hermitian matrix M with observable_payoff == <q, M q> for slot states q.
-
-    W^H diag(eigenvalues) W for W from :func:`_slot_map`: O(d^2) time,
-    O(joint * dims[i]) memory, no joint operator formed.
-    """
-    spec = game.payoffs[i]
-    if not isinstance(spec, ObservablePayoff):
-        raise TypeError(f"player {i} does not use an observable payoff")
-    w = _slot_map(game, play, i)
-    m = w.conj().T @ (spec.eigenvalues[:, None] * w)
-    return 0.5 * (m + m.conj().T)  # symmetrize away rounding noise
+    """Hermitian matrix M with observable_payoff == <q, M q> for slot states q,
+    in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
+    _spec_of(game, i, ObservablePayoff)
+    return _slot_form(game, game.check_play(play), i)
 
 
 def best_response_overlap(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
-    """Optimal slot state for an overlap player, others held fixed.
-
-    The payoff is inner_product(v, q) for the contraction vector v, so the
-    optimum is v normalized, where the payoff is |v| (real, positive). An
-    indifferent player (v numerically zero) keeps the current factor.
-    """
-    v = overlap_contraction(game, play, i)
-    if np.linalg.norm(v) <= DEFAULT_TOLS.indifference:
-        return play.factors[i]
-    return canonicalize_phase(v)
+    """:func:`best_response` of an overlap player: the contraction vector v
+    normalized, paying |v|, or the current factor when v is numerically zero."""
+    _spec_of(game, i, OverlapPayoff)
+    return best_response(game, play, i)
 
 
 def best_response_observable(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
-    """Top eigenvector of the effective observable, deterministically chosen.
-
-    With a degenerate top eigenvalue the eigensolver's lowest-index vector in
-    the near-maximal block is returned, canonical phase applied.
-    """
-    m = effective_observable(game, play, i)
-    w, vecs = np.linalg.eigh(m)
-    top = w.max()
-    idx = int(np.argmax(w >= top - DEFAULT_TOLS.eigenvalue_tie))
-    return canonicalize_phase(vecs[:, idx])
+    """:func:`best_response` of an observable player: the top eigenvector of the
+    effective observable (lowest-index one in a degenerate top block)."""
+    _spec_of(game, i, ObservablePayoff)
+    return best_response(game, play, i)
 
 
 def best_response(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
-    """Dispatch on player ``i``'s payoff kind."""
-    if isinstance(game.payoffs[i], OverlapPayoff):
-        return best_response_overlap(game, play, i)
-    return best_response_observable(game, play, i)
+    """Player ``i``'s optimal slot state, others held fixed: the validated
+    :func:`_slot_optimum` vector, whatever the payoff kind."""
+    return PureState(_slot_optimum(game, game.check_play(play), i)[0])
 
 
 class DynamicsStatus(enum.Enum):
@@ -353,13 +351,16 @@ def random_play(game: QuantumGame, seed: int | np.random.Generator | None) -> Pr
     return ProductPlay([haar_random_state(d, rng) for d in game.dims])
 
 
+def _factor_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
+    """Largest per-factor projective distance between two lists of raw unit factors."""
+    if len(a) != len(b):
+        raise ValueError("plays have different player counts")
+    return max(_projective_distance(fa, fb) for fa, fb in zip(a, b))
+
+
 def play_distance(a: ProductPlay, b: ProductPlay) -> float:
     """Largest per-factor projective distance between two product plays."""
-    if len(a.factors) != len(b.factors):
-        raise ValueError("plays have different player counts")
-    return max(
-        fubini_study_distance(fa, fb) for fa, fb in zip(a.factors, b.factors)
-    )
+    return _factor_distance([f.amplitudes for f in a.factors], [f.amplitudes for f in b.factors])
 
 
 CYCLE_WINDOW = 32   # sweeps of history searched for a revisit
@@ -386,38 +387,37 @@ def iterated_best_response(
     check_threshold("tol", tol)
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    play = start if start is not None else random_play(game, seed)
-    game.check_play(play)
-    history: deque[tuple[int, ProductPlay]] = deque(maxlen=CYCLE_WINDOW)
+    factors = game.check_play(start if start is not None else random_play(game, seed))
+    history: deque[tuple[int, tuple[np.ndarray, ...]]] = deque(maxlen=CYCLE_WINDOW)
     trace: list[TraceRecord] = []
     for sweep in range(1, max_iter + 1):
-        previous = play
+        previous = tuple(factors)
         for i in range(game.num_players):
-            play = play.replace(i, best_response(game, play, i))
-        step = play_distance(previous, play)
-        trace.append(TraceRecord(sweep, _all_payoffs(game, play), step))
+            factors[i] = _slot_optimum(game, factors, i)[0]
+        step = _factor_distance(previous, factors)
+        prepared = prepared_vector(game, factors)
+        payoffs = tuple(complex(_payoff_of(spec, prepared)) for spec in game.payoffs)
+        trace.append(TraceRecord(sweep, payoffs, step))
         if step <= tol:
             return DynamicsOutcome(
-                DynamicsStatus.CONVERGED, play, sweep, tuple(trace)
+                DynamicsStatus.CONVERGED, ProductPlay(factors), sweep, tuple(trace)
             )
-        for past_sweep, past_play in history:
+        for past_sweep, past_factors in history:
             if sweep - past_sweep < 2:
                 continue
-            gap = play_distance(past_play, play)
+            gap = _factor_distance(past_factors, factors)
             # Demanding step >> gap separates a genuine orbit (large sweeps,
             # near-exact revisit) from a convergent tail, where the revisit
             # gap shrinks in lockstep with the step size.
             if gap <= DEFAULT_TOLS.cycle_match and step >= 10.0 * gap:
                 return DynamicsOutcome(
-                    DynamicsStatus.CYCLE_DETECTED,
-                    play,
-                    sweep,
-                    tuple(trace),
-                    period=sweep - past_sweep,
-                    cycle_start=past_sweep,
+                    DynamicsStatus.CYCLE_DETECTED, ProductPlay(factors), sweep, tuple(trace),
+                    period=sweep - past_sweep, cycle_start=past_sweep,
                 )
-        history.append((sweep, play))
-    return DynamicsOutcome(DynamicsStatus.MAX_ITERATIONS, play, max_iter, tuple(trace))
+        history.append((sweep, tuple(factors)))
+    return DynamicsOutcome(
+        DynamicsStatus.MAX_ITERATIONS, ProductPlay(factors), max_iter, tuple(trace)
+    )
 
 
 def multi_start_dynamics(
@@ -493,25 +493,19 @@ class QuantumEquilibriumCertificate:
 
 
 def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
-    """Attainable unilateral improvement per player.
+    """Attainable unilateral improvement per player: what :func:`_slot_optimum`'s
+    best response pays minus what the current factor f pays, |v| - |<v, f>| for
+    an overlap player (the exact projective optimum gap, nonnegative) and the top
+    eigenvalue of the effective observable M minus <f, M f> for an observable one."""
+    factors = game.check_play(play)
+    optima = [_slot_optimum(game, factors, i) for i in range(game.num_players)]
+    return np.array([attainable - current for _, attainable, current in optima])
 
-    Overlap players: |v| - |current payoff|, the exact projective optimum gap
-    (nonnegative). Observable players: top eigenvalue of
-    the effective observable minus the current payoff, which is read off the
-    same v or M (|<v, f>| or <f, M f> at the player's factor f).
-    """
-    game.check_play(play)
-    gains = np.empty(game.num_players)
-    for i, spec in enumerate(game.payoffs):
-        f = play.factors[i].amplitudes
-        if isinstance(spec, OverlapPayoff):
-            v = overlap_contraction(game, play, i)
-            gains[i] = np.linalg.norm(v) - abs(np.vdot(v, f))
-        else:
-            m = effective_observable(game, play, i)
-            top = float(np.linalg.eigvalsh(m)[-1])
-            gains[i] = top - np.vdot(f, m @ f).real
-    return gains
+
+def _check_verify_args(epsilon: float, num_probes: int) -> None:
+    check_threshold("epsilon", epsilon)
+    if num_probes < 0:
+        raise ValueError(f"num_probes must be >= 0, got {num_probes!r}")
 
 
 def verify_epsilon_nash_quantum(
@@ -532,17 +526,15 @@ def verify_epsilon_nash_quantum(
     for bit ``num_probes`` Haar states and their rng stream, and prepared in
     one product ``U @ J``, independently of the analytic gains.
     """
-    check_threshold("epsilon", epsilon)
-    if num_probes < 0:
-        raise ValueError(f"num_probes must be >= 0, got {num_probes!r}")
-    game.check_play(play)
+    _check_verify_args(epsilon, num_probes)
+    factors = game.check_play(play)
     gains = quantum_deviation_gains(game, play)
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
     for i, spec in enumerate(game.payoffs if num_probes else ()):
         probes = _haar_rows(game.dims[i], num_probes, rng)
-        columns = [f.amplitudes[:, None] for f in play.factors]
-        columns[i] = np.vstack([play.factors[i].amplitudes, probes]).T  # column 0: the play
+        columns = [f[:, None] for f in factors]
+        columns[i] = np.vstack([factors[i], probes]).T  # column 0: the play
         prepared = game.unitary.matrix @ reduce(np.kron, columns)  # one joint vector per column
         if isinstance(spec, OverlapPayoff):
             values = np.abs(spec.target.amplitudes.conj() @ prepared)
@@ -560,10 +552,7 @@ def grid_states(resolution: int) -> np.ndarray:
     """Qubit grid: ``resolution`` polar values in [0, pi] (inclusive) times
     ``resolution`` azimuthal values in [0, 2 pi) as state vectors, shape
     (resolution**2, 2), for resolutions 2 to ``MAX_GRID_RESOLUTION``."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if resolution > MAX_GRID_RESOLUTION:
-        raise ValueError(f"resolution {resolution} exceeds {MAX_GRID_RESOLUTION}")
+    _check_resolution(resolution)
     theta = np.linspace(0.0, np.pi, resolution)
     phi = np.arange(resolution) * (2.0 * np.pi / resolution)
     half = theta[:, None] / 2.0
@@ -574,6 +563,11 @@ def grid_states(resolution: int) -> np.ndarray:
 
 
 MAX_GRID_RESOLUTION = 64
+
+
+def _check_resolution(resolution: int) -> None:
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise ValueError(f"resolution must be 2 to {MAX_GRID_RESOLUTION}, got {resolution!r}")
 
 
 # (I, X, Y, Z): a qubit state's density matrix is s . sigma / 2 for its Bloch row s = (1, x, y, z)
@@ -635,16 +629,14 @@ def grid_best_response_payoff(
     Overlap payoffs enter as magnitudes (the grid fixes representatives, so
     only the phase-free summary is comparable to the analytic optimum).
     """
-    game.check_play(play)
+    factors = game.check_play(play)
     if game.dims[i] != 2:
         raise ValueError("the grid oracle handles qubit slots only")
     grid = grid_states(resolution)
-    spec = game.payoffs[i]
-    if isinstance(spec, OverlapPayoff):
-        v = overlap_contraction(game, play, i)
-        return float(np.abs(grid @ np.conj(v)).max())
-    m = effective_observable(game, play, i)
-    weights = np.einsum("kl,mlk->m", m, _PAULIS).real / 2.0   # <q, M q> = s(q) . weights
+    form = _slot_form(game, factors, i)
+    if isinstance(game.payoffs[i], OverlapPayoff):
+        return float(np.abs(grid @ np.conj(form)).max())
+    weights = np.einsum("kl,mlk->m", form, _PAULIS).real / 2.0   # <q, M q> = s(q) . weights
     return float((_bloch_rows(grid) @ weights).max())
 
 

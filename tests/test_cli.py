@@ -152,6 +152,61 @@ def test_verify_and_solve_bytes_are_pinned(tmp_path, args):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_DIGESTS[args]
 
 
+# sha256 of the `dynamics` outcome and trace, and of the `sweep` CSV and report, as
+# written while the dynamics loop still stepped validated states and plays; running
+# it on raw factor arrays must leave every byte of these documents where it was
+DYNAMICS_DIGESTS = {
+    ("bell-state-prep", "3"): (
+        "1bd2ea7f310c8c97e3cdaa54d0973abc6d1e7b217b3464c97083ff5f5c4d824c",
+        "450c18fe593a3092e153e89dabb1b53e7aeea9a8d7569fdeea8238a818d14840"),
+    ("bell-state-prep", "11"): (
+        "1bd2ea7f310c8c97e3cdaa54d0973abc6d1e7b217b3464c97083ff5f5c4d824c",
+        "2b9902a1f59028b4524bd50cdfafa8da58697c43140f825467162c4962ea3d27"),
+    ("alignment-demo", "3"): (
+        "0ed1367fcccfa7ecf258f35b130153bafebf2c59f96f7f2fb3c51803deb1d6f7",
+        "155991fc5a937277d57a4320a9fd9fe2998884b7b56d9d41856007db139196b3"),
+    ("alignment-demo", "11"): (
+        "b9aaa4eb895b1bcd85f0d9c3f294f8008ef62da85b556d92c08e6d261dd29dfa",
+        "3866907be0c79297ea6dcb1dd66b5d278b4b9efbd9df6ad3036454a6ab56471c"),
+    ("adiabatic", "--s", "0.5", "3"): (
+        "ec06214aadae66152a913c382f7f55773b77692368d287c228a5bea06d3e7ead",
+        "8b17392ca0677408dc9f2b7ff036ab56ca8af259f6c4a5e17012f9051be26c31"),
+    ("adiabatic", "--s", "0.5", "11"): (
+        "967ca5e6e594e091056778c9075d7f64f3362abbd98ddff577188529dd069179",
+        "c3893478f25b42a8a2a0763606587bd506e36ca2eb7b05f3182645e22b5c9a25"),
+    ("grover", "--n-qubits", "4", "--split", "2,2", "3"): (
+        "23c3f420a7da2f1ad7a6347e541900e4e7a59150b93653d695a7dea0b6697fc9",
+        "cab4c76074d5fc259c10d99390598b4137ee30dcc5410aff993fa6d3dc5274da"),
+    ("grover", "--n-qubits", "4", "--split", "2,2", "11"): (
+        "a5730059b815d9f0fb26ea0ebbc129692ed6c4f09e31db327ff3d0d148611977",
+        "d3ea8136ac86aa1fb74ed540fdfebb75efae7c4ccd76c6ddfacbd74ee04005ae"),
+}
+SWEEP_DIGESTS = (
+    "b88c0935d05a5656bfc2a1a81d725a0a7c1f56f8777e0abfd2e9c4e700250cc5",
+    "b80fe50cad01b4281b50f7a9b570320810a5cb62457a9b5b14399640870bf0b3",
+)
+
+
+def sha256_of(*paths):
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+
+
+@pytest.mark.parametrize("args", list(DYNAMICS_DIGESTS), ids=" ".join)
+def test_dynamics_bytes_are_pinned(tmp_path, args):
+    *kind, seed = args
+    out, trace = tmp_path / "dyn.json", tmp_path / "trace.csv"
+    assert run("dynamics", "--input", build(tmp_path, *kind), "--seed", seed,
+               "--trace-out", trace, "--out", out) == 0
+    assert sha256_of(out, trace) == DYNAMICS_DIGESTS[args]
+
+
+def test_sweep_bytes_are_pinned(tmp_path):
+    out, report = tmp_path / "sweep.csv", tmp_path / "report.json"
+    assert run("sweep", "--input", build(tmp_path, "schedule"), "--starts", 3, "--seed", 17,
+               "--report-out", report, "--out", out) == 0
+    assert sha256_of(out, report) == SWEEP_DIGESTS
+
+
 # ----------------------------------------------------------------- solve ---
 
 def test_solve_finite_matching_pennies(tmp_path):
@@ -420,19 +475,27 @@ def test_geometry_refuses_too_many_boundary_samples_before_allocating(
         ("verify", "--probes", "-3", "num_probes"),
         ("verify-finite", "--epsilon", "nan", "epsilon"),
         ("verify-finite", "--epsilon", "inf", "epsilon"),
+        ("verify-finite", "--probes", "-3", "num_probes"),
         ("solve", "--epsilon", "nan", "epsilon"),
         ("solve", "--epsilon", "inf", "epsilon"),
+        ("solve", "--resolution", "1", "resolution"),
+        ("solve", "--resolution", "1000000", "resolution"),
+        ("solve-finite", "--epsilon", "nan", "epsilon"),
+        ("solve-finite", "--resolution", "1", "resolution"),
+        ("solve-finite", "--resolution", "1000000", "resolution"),
     ],
 )
 def test_bad_thresholds_exit_1_naming_the_parameter(tmp_path, capsys, command, flag, value, name):
     out = tmp_path / "out.json"
+    game = tmp_path / "mp.json"
+    game.write_text(gd.serialize_game(MATCHING_PENNIES) + "\n")
     if command == "sweep":
         sched = tmp_path / "sched.json"
         _small_schedule(sched)
         argv = ["sweep", "--input", sched]
+    elif command == "solve-finite":
+        argv = ["solve", "--input", game]
     elif command == "verify-finite":
-        game = tmp_path / "mp.json"
-        game.write_text(gd.serialize_game(MATCHING_PENNIES) + "\n")
         prof = tmp_path / "prof.json"
         prof.write_text(gd.serialize_profile(classical.MixedProfile(([0.5, 0.5], [0.5, 0.5]))) + "\n")
         argv = ["verify", "--input", game, "--play", prof]

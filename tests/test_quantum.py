@@ -10,10 +10,13 @@ from numpy.testing import assert_allclose
 import qugame.quantum as qq
 from qugame import builders as bld
 from qugame.builders import bell_state_preparation_demo, build_state_preparation_game
+from qugame.config import DEFAULT_TOLS
 from qugame.geometry import bloch_embedding
 from qugame.linalg import (
     ProductPlay,
     PureState,
+    canonicalize_phase,
+    fubini_study_distance,
     haar_random_state,
     haar_random_unitary,
     inner_product,
@@ -315,6 +318,104 @@ def test_play_distance_contract():
         qq.play_distance(a, c)
 
 
+# ------------------------------------------ validated-object loop oracle ---
+
+def validated_best_response(game, play, i):
+    """A best response built as validated states from the public contractions."""
+    if isinstance(game.payoffs[i], qq.OverlapPayoff):
+        v = qq.overlap_contraction(game, play, i)
+        if np.linalg.norm(v) <= DEFAULT_TOLS.indifference:
+            return play.factors[i]
+        return canonicalize_phase(v)
+    w, vecs = np.linalg.eigh(qq.effective_observable(game, play, i))
+    return canonicalize_phase(vecs[:, int(np.argmax(w >= w.max() - DEFAULT_TOLS.eigenvalue_tie))])
+
+
+def validated_play_distance(a, b):
+    return max(fubini_study_distance(fa, fb) for fa, fb in zip(a.factors, b.factors))
+
+
+def validated_dynamics(game, play, tol=1e-9, max_iter=40):
+    """Round-robin dynamics stepping ProductPlay objects: play.replace per best
+    response, a per-factor state distance per sweep and per revisit, payoff per
+    trace entry.
+    Returns (status, iterations, period, cycle_start, trace, final play)."""
+    history, trace = [], []
+    for sweep in range(1, max_iter + 1):
+        previous = play
+        for i in range(game.num_players):
+            play = play.replace(i, validated_best_response(game, play, i))
+        step = validated_play_distance(previous, play)
+        payoffs = tuple(qq.payoff(game, play, i) for i in range(game.num_players))
+        trace.append(qq.TraceRecord(sweep, payoffs, step))
+        if step <= tol:
+            return qq.DynamicsStatus.CONVERGED, sweep, None, None, trace, play
+        for past_sweep, past_play in history[-qq.CYCLE_WINDOW:]:
+            gap = validated_play_distance(past_play, play)
+            if (sweep - past_sweep >= 2 and gap <= DEFAULT_TOLS.cycle_match
+                    and step >= 10.0 * gap):
+                period = sweep - past_sweep
+                return qq.DynamicsStatus.CYCLE_DETECTED, sweep, period, past_sweep, trace, play
+        history.append((sweep, play))
+    return qq.DynamicsStatus.MAX_ITERATIONS, max_iter, None, None, trace, play
+
+
+def assert_matches_validated_loop(game, start):
+    status, iterations, period, cycle_start, trace, play = validated_dynamics(game, start)
+    out = qq.iterated_best_response(game, start, max_iter=40)
+    assert (out.status, out.iterations, out.period, out.cycle_start) == (
+        status, iterations, period, cycle_start)
+    assert [(r.sweep, r.payoffs, r.step_distance) for r in out.trace] == [
+        (r.sweep, r.payoffs, r.step_distance) for r in trace]
+    for got, want in zip(out.play.factors, play.factors):
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    gains = qq.quantum_deviation_gains(game, start)
+    for i, spec in enumerate(game.payoffs):
+        f = start.factors[i].amplitudes
+        if isinstance(spec, qq.OverlapPayoff):
+            v = qq.overlap_contraction(game, start, i)
+            assert gains[i] == np.linalg.norm(v) - abs(np.vdot(v, f))
+        else:
+            m = qq.effective_observable(game, start, i)
+            spectrum = np.linalg.eigvalsh(m)
+            want = spectrum[-1] - np.vdot(f, m @ f).real
+            assert abs(gains[i] - want) <= 1e-14 * max(1.0, np.abs(spectrum).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (3, 2), (2, 3, 2), (4, 4)]),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dynamics_on_raw_arrays_match_the_validated_loop(dims, observable, seed):
+    rng = np.random.default_rng(seed)
+    joint = math.prod(dims)
+    specs = [
+        qq.ObservablePayoff(rng.standard_normal(joint)) if observable[i]
+        else qq.OverlapPayoff(haar_random_state(joint, rng))
+        for i in range(len(dims))
+    ]
+    game = qq.QuantumGame(dims, haar_random_unitary(joint, rng), specs)
+    assert_matches_validated_loop(game, qq.random_play(game, rng))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bundled_dynamics_match_the_validated_loop(seed):
+    # the bundled games converge (Bell) or cycle (the rest), and the basis-target game
+    # leaves its second player indifferent, which random games rarely do
+    e00, e11 = np.eye(4)[0], np.eye(4)[3]
+    games = [
+        identity_game(e00, e11),
+        bell_state_preparation_demo(),
+        qq.alignment_demo_game(),
+        bld.build_adiabatic_game(bld.demo_adiabatic_schedule(), 0.5),
+        bld.build_grover_game(4, 0, (2, 2)),
+    ]
+    for game in games:
+        assert_matches_validated_loop(game, qq.random_play(game, seed))
+
+
 # ------------------------------------------------- fixed-point extraction ---
 
 def test_fixed_point_candidates_are_equilibria():
@@ -417,7 +518,7 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("tol", BAD_THRESHOLDS)
 def test_dynamics_refuses_a_bad_tol_before_any_sweep(monkeypatch, tol):
     game = bell_state_preparation_demo()
-    monkeypatch.setattr(qq, "best_response", _refuse)
+    monkeypatch.setattr(qq, "_slot_optimum", _refuse)
     with pytest.raises(ValueError, match="^tol must be a finite real >= 0"):
         qq.iterated_best_response(game, tol=tol, seed=0)
 
