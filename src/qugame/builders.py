@@ -17,6 +17,7 @@ from .linalg import (
     HermitianOperator,
     PureState,
     UnitaryOperator,
+    _fixed_phase,
     as_rng,
     canonicalize_phase,
     matrix_exponential_unitary,
@@ -25,11 +26,11 @@ from .quantum import (
     DynamicsStatus,
     OverlapPayoff,
     QuantumGame,
+    _payoff_of,
     iterated_best_response,
     overlap_fixed_point_candidates,
     play_distance,
-    overlap_payoff,
-    prepared_state,
+    prepared_vector,
     random_play,
     verify_epsilon_nash_quantum,
 )
@@ -189,10 +190,7 @@ def build_adiabatic_game(
     )
     q = matrix_exponential_unitary(h, schedule.time)
     if payoff_targets is None:
-        payoff_targets = (
-            ground_state(schedule.h_final),
-            complement_superposition(schedule.h_final),
-        )
+        payoff_targets = ground_state(schedule.h_final), complement_superposition(schedule.h_final)
     return build_state_preparation_game((root, root), q, payoff_targets)
 
 
@@ -254,10 +252,11 @@ def sweep_adiabatic(
     check_threshold("epsilon", epsilon)
     rng = as_rng(seed)
     ground = ground_state(schedule.h_final)
+    targets = (ground, complement_superposition(schedule.h_final))   # schedule-invariant
     rows: list[SweepRow] = []
     converged = verified = 0
     for s in schedule.s_values:
-        game = build_adiabatic_game(schedule, s)
+        game = build_adiabatic_game(schedule, s, targets)
         candidates = overlap_fixed_point_candidates(game)
         starts = [random_play(game, rng) for _ in range(starts_per_s)]
         for start_id, start in enumerate(starts):
@@ -272,9 +271,8 @@ def sweep_adiabatic(
                     final, label = resolved, "cycle_resolved"
             if cert is None:
                 cert = verify_epsilon_nash_quantum(game, final, epsilon, num_probes=8, seed=rng)
-            value = overlap_payoff(game, final, 0)
-            prepared = prepared_state(game, final)
-            overlap_mag = abs(np.vdot(ground.amplitudes, prepared.amplitudes))
+            prepared = prepared_vector(game, game.check_play(final))
+            unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
             ok = cert is not None
             converged += int(outcome.converged)
             verified += int(ok)
@@ -284,8 +282,8 @@ def sweep_adiabatic(
                     start_id=start_id,
                     outcome=label,
                     iterations=outcome.iterations,
-                    payoff_player1=value,
-                    ground_overlap_magnitude=float(overlap_mag),
+                    payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
+                    ground_overlap_magnitude=float(abs(np.vdot(ground.amplitudes, unit))),
                     verified=ok,
                 )
             )

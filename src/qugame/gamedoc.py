@@ -51,6 +51,9 @@ SCHEMA_VERSION = 1
 # is rejected as a data error rather than guessed at
 NORMALIZATION_WINDOW = 1e-6
 
+# a finite game's payoff tensor has one axis per player, and numpy arrays have at most 64 axes
+MAX_FINITE_PLAYERS = 64
+
 
 class DocumentError(ValueError):
     """Validation failure, tagged with the path of the offending field."""
@@ -134,7 +137,7 @@ def _load(text: str) -> dict:
     gc.disable()
     try:
         doc = json.loads(text)
-    except ValueError as exc:   # also integer literals past Python's digit limit
+    except (ValueError, RecursionError) as exc:   # also huge integer literals, deep nesting
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     finally:
         if enabled:
@@ -227,6 +230,8 @@ def _complex_matrix(value, path: str, size: int | None = None) -> np.ndarray:
 
 
 def _unit_state(vec: np.ndarray, path: str) -> PureState:
+    if vec.size < 2:
+        raise DocumentError(path, "a qudit state needs dimension >= 2")
     norm = np.linalg.norm(vec)
     if norm < DEFAULT_TOLS.phase_cutoff:
         raise DocumentError(path, "state vector is numerically zero")
@@ -278,6 +283,10 @@ def _parse_finite(doc: dict) -> FiniteGame:
     )
     if len(counts) < 2:
         raise DocumentError("strategy_counts", "a game needs at least two players")
+    if len(counts) > MAX_FINITE_PLAYERS:
+        raise DocumentError(
+            "strategy_counts", f"{len(counts)} players exceed the limit of {MAX_FINITE_PLAYERS}"
+        )
     tensors_raw = _list(doc.get("payoff_tensors"), "payoff_tensors")
     if len(tensors_raw) != len(counts):
         raise DocumentError(

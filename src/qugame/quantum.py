@@ -40,8 +40,6 @@ from .linalg import (
     as_rng,
     canonicalize_phase,
     haar_random_state,
-    inner_product,
-    tensor_product,
 )
 
 __all__ = [
@@ -174,14 +172,19 @@ class QuantumGame:
 
 
 def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Game unitary applied to the tensor product of raw slot vectors.
-
-    Linear in every slot; callers may pass unnormalized vectors (payoff
-    linearity is stated on the ambient space).
+    """Game unitary applied to the tensor product of raw slot vectors, or to one
+    joint column per column of a ``(dims[i], k)`` stack among ``(dims[j], 1)`` columns.
+    Linear in every slot: callers may pass unnormalized vectors (payoff linearity
+    is stated on the ambient space). A non-finite factor entry shows in the product.
     """
-    joint = tensor_product(factors)
-    if joint.size != game.joint_dimension:
+    if len(factors) == 0:
+        raise ValueError("a preparation needs at least one slot vector")
+    with np.errstate(invalid="ignore", over="ignore"):   # refused below, not warned about
+        joint = np.asarray(reduce(np.kron, factors), dtype=np.complex128)
+    if joint.shape[:1] != (game.joint_dimension,):
         raise ValueError("slot vectors do not match the game's dimensions")
+    if not np.isfinite(joint).all():
+        raise ValueError("slot vectors have non-finite entries")
     return game.unitary.matrix @ joint
 
 
@@ -198,11 +201,11 @@ def prepared_state(game: QuantumGame, play: ProductPlay) -> PureState:
     return canonicalize_phase(prepared_vector(game, game.check_play(play)))
 
 
-def _payoff_of(spec: PayoffSpec, prepared: np.ndarray) -> complex | float:
-    """One payoff read off a prepared joint vector."""
+def _payoff_of(spec: PayoffSpec, prepared: np.ndarray):
+    """One payoff read off a prepared vector (overlaps as np.vdot), or one per stack column."""
     if isinstance(spec, OverlapPayoff):
-        return inner_product(spec.target, prepared)
-    return float(spec.eigenvalues @ np.abs(prepared) ** 2)
+        return spec.target.amplitudes.conj() @ prepared
+    return spec.eigenvalues @ np.abs(prepared) ** 2
 
 
 def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
@@ -211,14 +214,14 @@ def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     Computed on the raw prepared vector, so it is exactly linear in each
     player's slot vector; the factors' canonical phases pin the value.
     """
-    factors = game.check_play(play)
-    return _payoff_of(_spec_of(game, i, OverlapPayoff), prepared_vector(game, factors))
+    spec = _spec_of(game, i, OverlapPayoff)
+    return complex(_payoff_of(spec, prepared_vector(game, game.check_play(play))))
 
 
 def observable_payoff(game: QuantumGame, play: ProductPlay, i: int) -> float:
     """Expected value of player ``i``'s basis-diagonal observable on the play."""
-    factors = game.check_play(play)
-    return _payoff_of(_spec_of(game, i, ObservablePayoff), prepared_vector(game, factors))
+    spec = _spec_of(game, i, ObservablePayoff)
+    return float(_payoff_of(spec, prepared_vector(game, game.check_play(play))))
 
 
 def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
@@ -523,8 +526,8 @@ def verify_epsilon_nash_quantum(
     closed-form optimum, so a probe gain above epsilon means rejection was
     correct anyway, and the recorded maximum makes the certificate auditable.
     Each player's probes (players in index order) are drawn as one array, bit
-    for bit ``num_probes`` Haar states and their rng stream, and prepared in
-    one product ``U @ J``, independently of the analytic gains.
+    for bit ``num_probes`` Haar states and their rng stream, and prepared as
+    one column stack by :func:`prepared_vector`, independently of the analytic gains.
     """
     _check_verify_args(epsilon, num_probes)
     factors = game.check_play(play)
@@ -535,11 +538,8 @@ def verify_epsilon_nash_quantum(
         probes = _haar_rows(game.dims[i], num_probes, rng)
         columns = [f[:, None] for f in factors]
         columns[i] = np.vstack([factors[i], probes]).T  # column 0: the play
-        prepared = game.unitary.matrix @ reduce(np.kron, columns)  # one joint vector per column
-        if isinstance(spec, OverlapPayoff):
-            values = np.abs(spec.target.amplitudes.conj() @ prepared)
-        else:
-            values = spec.eigenvalues @ np.abs(prepared) ** 2
+        values = _payoff_of(spec, prepared_vector(game, columns))  # one payoff per column
+        values = np.abs(values) if isinstance(spec, OverlapPayoff) else values
         max_probe = max(max_probe, float(values[1:].max() - values[0]))
     if gains.max() <= epsilon and max_probe <= epsilon:
         return QuantumEquilibriumCertificate(
@@ -716,7 +716,7 @@ def observable_nonlinearity_witness() -> NonlinearityWitness:
     mu = 0.5
 
     def value(slot):   # player 0's payoff on the ambient, unnormalized slot vector
-        return _payoff_of(game.payoffs[0], prepared_vector(game, [slot, other]))
+        return float(_payoff_of(game.payoffs[0], prepared_vector(game, [slot, other])))
 
     mixed = value(mu * a + (1 - mu) * b)
     average = mu * value(a) + (1 - mu) * value(b)

@@ -222,6 +222,26 @@ def test_sweep_verifies_each_row_once(monkeypatch):
     assert {row.outcome for row in report.rows} == {"converged", "cycle_resolved"}
 
 
+def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
+    # the targets depend only on the final Hamiltonian, and one prepared vector
+    # of the final play gives a row both its payoff and its ground overlap
+    calls = {"complement_superposition": 0, "prepared_vector": 0}
+
+    def counted(name):
+        real = getattr(bld, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(bld, name, counting)
+
+    counted("complement_superposition")
+    counted("prepared_vector")
+    report = bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, seed=17)
+    assert calls == {"complement_superposition": 1, "prepared_vector": report.num_rows}
+
+
 def test_sweep_draws_a_dial_values_starts_before_its_probes(monkeypatch):
     sched = bld.demo_adiabatic_schedule()
     mid = bld.AdiabaticSchedule(sched.h_initial, sched.h_final, (0.5,), sched.time)

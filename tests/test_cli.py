@@ -152,6 +152,21 @@ def test_verify_and_solve_bytes_are_pinned(tmp_path, args):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_DIGESTS[args]
 
 
+# sha256 of an accepted `verify` on the observable alignment demo, whose
+# certificate records the observable probes' largest gain, as written while
+# the probes had their own preparation and payoff arithmetic
+OBSERVABLE_PROBE_DIGEST = "4d33651b9dc251e3095ee2a1ab0f7bb484d795138356d02b55bf65d93156786b"
+
+
+def test_observable_probe_bytes_are_pinned(tmp_path):
+    play, out = tmp_path / "play.json", tmp_path / "cert.json"
+    play.write_text(gd.serialize_play(ProductPlay([PureState([1, 0]), PureState([1, 0])])) + "\n")
+    assert run("verify", "--input", build(tmp_path, "alignment-demo"), "--play", play,
+               "--epsilon", 1, "--probes", 8, "--seed", 2, "--out", out) == 0
+    assert load(out)["max_probe_gain"] > 0.9
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OBSERVABLE_PROBE_DIGEST
+
+
 # sha256 of the `dynamics` outcome and trace, and of the `sweep` CSV and report, as
 # written while the dynamics loop still stepped validated states and plays; running
 # it on raw factor arrays must leave every byte of these documents where it was
@@ -604,6 +619,16 @@ def test_huge_integer_literal_exits_1_with_a_field_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: factors[0][0][0]: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_deeply_nested_input_exits_1_at_the_document_root(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = tmp_path / "out.json"
+    assert run("solve", "--input", deep, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: $: not valid JSON: ")
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qugame.gamedoc as gd
@@ -219,6 +219,130 @@ def test_parse_profile_checks_distributions():
     bad = prof.replace("[0.5,0.5]", "[0.7,0.4]", 1)
     with pytest.raises(gd.DocumentError, match="sums to"):
         gd.parse_profile(bad, (2, 2))
+
+
+DEEP = "[" * 100_000   # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("parse", (gd.parse_game, gd.parse_play, gd.parse_profile,
+                                   gd.parse_schedule), ids=lambda f: f.__name__)
+def test_deeply_nested_json_is_a_document_error(parse):
+    with pytest.raises(gd.DocumentError, match=r"^\$: not valid JSON: ") as err:
+        parse(DEEP)
+    assert err.value.path == "$"
+
+
+def finite_doc(counts, tensor) -> str:
+    return json.dumps({"schema_version": 1, "kind": "finite", "strategy_counts": counts,
+                       "payoff_tensors": [tensor] * len(counts)})
+
+
+def nested_zero(depth):
+    return [nested_zero(depth - 1)] if depth else 0
+
+
+def test_finite_game_past_numpy_rank_is_refused_before_any_tensor(monkeypatch):
+    limit = gd.MAX_FINITE_PLAYERS
+    assert len(gd.parse_game(finite_doc([1] * limit, nested_zero(limit))).payoff_tensors) == limit
+
+    def refuse(*args):
+        raise AssertionError("a payoff tensor was decoded")
+
+    monkeypatch.setattr(gd, "_nested_shape", refuse)
+    with pytest.raises(gd.DocumentError, match=f"70 players exceed the limit of {limit}") as err:
+        gd.parse_game(finite_doc([1] * 70, nested_zero(70)))
+    assert err.value.path == "strategy_counts"
+
+
+def test_one_entry_play_factor_is_a_document_error():
+    text = '{"schema_version":1,"kind":"play","factors":[[[1,0]],[[1,0],[0,0]]]}'
+    with pytest.raises(gd.DocumentError, match="dimension >= 2") as err:
+        gd.parse_play(text)
+    assert err.value.path == "factors[0]"
+
+
+# ---------------------------------------------------------------- fuzzing ---
+
+# Whole documents for the four parsers: every field may be missing, of the
+# wrong kind or wrongly nested, or a value taken from a valid document, so
+# the walks reach deep paths; each parse must end in a document or a DocumentError
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(), st.floats(),
+    st.text(max_size=3), st.just(10**400),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from("ab"), kids, max_size=2),
+    max_leaves=6,
+)
+fuzz_reals = st.one_of(st.integers(-2, 2), st.floats(-2, 2), json_leaves)
+fuzz_vectors = st.lists(st.lists(fuzz_reals, min_size=2, max_size=2) | json_leaves, max_size=4)
+fuzz_matrices = st.lists(fuzz_vectors, max_size=4)
+huge_ints = st.sampled_from([2**31, 10**12, 10**30, 10**400])
+fuzz_dims = st.lists(st.integers(-1, 5) | huge_ints | json_leaves, max_size=4)
+fuzz_tensors = st.recursive(fuzz_reals, lambda kids: st.lists(kids, max_size=3), max_leaves=8)
+fuzz_specs = st.dictionaries(st.sampled_from(["overlap", "observable", "other"]),
+                             fuzz_vectors | st.lists(fuzz_reals, max_size=16) | json_values,
+                             max_size=2)
+
+
+FUZZ_KINDS = ["finite", "quantum", "play", "profile", "schedule"]
+
+
+def valid_fields(text):
+    return {key: st.just(value) for key, value in json.loads(text).items()}
+
+
+def fuzz_documents(kind, fields, valid):
+    def field(key, strategy):
+        return st.one_of(strategy, json_values, valid[key])
+
+    doc = st.fixed_dictionaries(
+        {"schema_version": st.one_of(st.just(1), json_values),
+         "kind": st.one_of(st.just(kind), st.sampled_from(FUZZ_KINDS), json_values)},
+        optional={**{key: field(key, s) for key, s in fields.items()}, "extra": json_values},
+    )
+    return st.one_of(doc, st.lists(doc, max_size=1)).map(json.dumps)
+
+
+FINITE_VALID = valid_fields(finite_doc([2, 2], [[1, 0], [0, 1]]))
+QUANTUM_VALID = valid_fields(gd.serialize_game(bld.bell_state_preparation_demo()))
+PLAY_VALID = valid_fields(gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([0, 1])))))
+PROFILE_VALID = valid_fields(gd.serialize_profile(MixedProfile(([0.5, 0.5], [1.0, 0.0]))))
+SCHEDULE_VALID = valid_fields(gd.serialize_schedule(bld.demo_adiabatic_schedule()))
+
+fuzz_cases = st.one_of(
+    st.tuples(st.just(gd.parse_game), fuzz_documents(
+        "finite", {"strategy_counts": fuzz_dims, "payoff_tensors": st.lists(fuzz_tensors, max_size=3)},
+        FINITE_VALID), st.just(())),
+    st.tuples(st.just(gd.parse_game), fuzz_documents(
+        "quantum", {"dims": fuzz_dims, "unitary": fuzz_matrices,
+                    "payoffs": st.lists(fuzz_specs | json_values, max_size=3)},
+        QUANTUM_VALID), st.just(())),
+    st.tuples(st.just(gd.parse_play), fuzz_documents(
+        "play", {"factors": st.lists(fuzz_vectors, max_size=3)}, PLAY_VALID),
+        st.just(()) | st.tuples(st.lists(st.integers(2, 4), min_size=2, max_size=3))),
+    st.tuples(st.just(gd.parse_profile), fuzz_documents(
+        "profile", {"distributions": st.lists(st.lists(fuzz_reals, max_size=3), max_size=3)},
+        PROFILE_VALID),
+        st.just(()) | st.tuples(st.lists(st.integers(1, 3), min_size=2, max_size=3))),
+    st.tuples(st.just(gd.parse_schedule), fuzz_documents(
+        "schedule", {"h_initial": fuzz_matrices, "h_final": fuzz_matrices,
+                     "s_values": st.lists(fuzz_reals, max_size=3), "time": fuzz_reals},
+        SCHEDULE_VALID), st.just(())),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_cases)
+@example((gd.parse_game, DEEP, ()))
+@example((gd.parse_game, finite_doc([1] * 70, nested_zero(70)), ()))
+def test_parsers_return_a_document_or_a_document_error(case):
+    parse, text, extra = case
+    try:
+        parse(text, *extra)
+    except gd.DocumentError:
+        pass
 
 
 # -------------------------------------------------- norm window behavior ---

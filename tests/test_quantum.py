@@ -42,6 +42,46 @@ def test_prepared_state_is_unitary_on_product():
     assert_allclose(np.linalg.norm(prepared.amplitudes), 1.0, atol=1e-14)
 
 
+def test_prepared_vector_refuses_bad_factors_and_prepares_column_stacks():
+    rng = np.random.default_rng(33)
+    dims = (2, 3, 2)
+    game = qq.QuantumGame(dims, haar_random_unitary(12, rng),
+                          [qq.ObservablePayoff(rng.standard_normal(12))] * 3)
+    factors = [haar_random_state(d, rng).amplitudes for d in dims]
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        broken = list(factors)
+        broken[1] = factors[1].copy()
+        broken[1][2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qq.prepared_vector(game, broken)
+    for wrong in (factors[:2], [factors[0], factors[0], factors[2]], factors + [factors[0]]):
+        with pytest.raises(ValueError, match="dimensions"):
+            qq.prepared_vector(game, wrong)
+    with pytest.raises(ValueError, match="at least one"):
+        qq.prepared_vector(game, [])
+    for i, d in enumerate(dims):
+        stack = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
+        columns = [f[:, None] for f in factors]
+        columns[i] = stack
+        joint = qq.prepared_vector(game, columns)
+        assert joint.shape == (12, 5)
+        for c in range(5):
+            vectors = list(factors)
+            vectors[i] = stack[:, c]
+            assert_allclose(joint[:, c], qq.prepared_vector(game, vectors), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 9, 16, 256]), st.integers(0, 2**32 - 1))
+def test_overlap_read_off_is_vdot_bit_for_bit(d, seed):
+    rng = np.random.default_rng(seed)
+    spec = qq.OverlapPayoff(haar_random_state(d, rng))
+    prepared = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * rng.exponential()
+    value = complex(qq._payoff_of(spec, prepared))
+    reference = complex(np.vdot(spec.target.amplitudes, prepared))
+    assert np.complex128(value).tobytes() == np.complex128(reference).tobytes()
+
+
 def test_overlap_payoff_bell_from_zero_zero():
     game = bell_state_preparation_demo()
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
