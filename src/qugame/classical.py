@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FiniteGame:
     """Normal-form game given by one payoff tensor per player.
 
@@ -40,10 +41,10 @@ class FiniteGame:
     at each pure-strategy combination.
     """
 
-    __slots__ = ("_tensors",)
+    payoff_tensors: tuple[np.ndarray, ...]
 
-    def __init__(self, payoff_tensors: Sequence):
-        tensors = tuple(np.array(t, dtype=np.float64) for t in payoff_tensors)
+    def __post_init__(self):
+        tensors = tuple(np.array(t, dtype=np.float64) for t in self.payoff_tensors)
         if len(tensors) < 2:
             raise ValueError("a game needs at least two players")
         shape = tensors[0].shape
@@ -59,32 +60,29 @@ class FiniteGame:
             t.setflags(write=False)
         if any(k < 1 for k in shape):
             raise ValueError("every player needs at least one strategy")
-        self._tensors = tensors
-
-    @property
-    def payoff_tensors(self) -> tuple[np.ndarray, ...]:
-        return self._tensors
+        object.__setattr__(self, "payoff_tensors", tensors)
 
     @property
     def num_players(self) -> int:
-        return len(self._tensors)
+        return len(self.payoff_tensors)
 
     @property
     def strategy_counts(self) -> tuple[int, ...]:
-        return self._tensors[0].shape
+        return self.payoff_tensors[0].shape
 
     def __repr__(self) -> str:
         return f"FiniteGame(strategy_counts={self.strategy_counts})"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MixedProfile:
     """One probability distribution over pure strategies per player."""
 
-    __slots__ = ("_distributions",)
+    distributions: tuple[np.ndarray, ...]
 
-    def __init__(self, distributions: Sequence):
+    def __post_init__(self):
         dists = []
-        for i, d in enumerate(distributions):
+        for i, d in enumerate(self.distributions):
             arr = np.array(d, dtype=np.float64)
             if arr.ndim != 1 or arr.size < 1:
                 raise ValueError(f"distribution {i} is not a nonempty vector")
@@ -100,15 +98,11 @@ class MixedProfile:
             dists.append(arr)
         if len(dists) < 2:
             raise ValueError("a profile needs at least two players")
-        self._distributions = tuple(dists)
-
-    @property
-    def distributions(self) -> tuple[np.ndarray, ...]:
-        return self._distributions
+        object.__setattr__(self, "distributions", tuple(dists))
 
     @property
     def strategy_counts(self) -> tuple[int, ...]:
-        return tuple(d.size for d in self._distributions)
+        return tuple(d.size for d in self.distributions)
 
     def __repr__(self) -> str:
         return f"MixedProfile(strategy_counts={self.strategy_counts})"

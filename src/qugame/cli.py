@@ -168,7 +168,10 @@ def _cmd_build(args) -> int:
     if args.kind == "bell-state-prep":
         text = gamedoc.serialize_game(builders.bell_state_preparation_demo())
     elif args.kind == "grover":
-        split = tuple(int(p) for p in args.split.split(","))
+        try:
+            split = tuple(int(p) for p in args.split.split(","))
+        except ValueError:
+            split = ()
         if len(split) != 2:
             raise gamedoc.DocumentError("--split", "expected two comma-separated counts")
         game = builders.build_grover_game(
@@ -218,16 +221,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, output=True) -> None:
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        if output:
-            p.add_argument("--out", required=True, help="output file path")
+    def common(p: argparse.ArgumentParser, *, seeded: bool = True) -> None:
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+        p.add_argument("--out", required=True, help="output file path")
 
     solve = sub.add_parser("solve", help="find equilibria of a game document")
     solve.add_argument("--input", required=True)
     solve.add_argument("--epsilon", type=float, default=0.05)
     solve.add_argument("--resolution", type=int, default=32)
-    common(solve)
+    common(solve, seeded=False)
     solve.set_defaults(func=_cmd_solve)
 
     dynamics = sub.add_parser("dynamics", help="run round-robin best-response dynamics")
@@ -265,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--split", default="1,1")
     build.add_argument("--iterations", type=int, default=1)
     build.add_argument("--s", type=float, default=0.0)
-    common(build)
+    common(build, seeded=False)
     build.set_defaults(func=_cmd_build)
 
     sweep = sub.add_parser("sweep", help="dynamics across an annealing schedule")

@@ -11,8 +11,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -73,19 +74,20 @@ def _fixed_phase(arr: np.ndarray) -> np.ndarray:
     raise ValueError("cannot fix the phase of a (numerically) zero vector")
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PureState:
     """Canonical unit-norm representative of a projective qudit state.
 
     The constructor validates the norm (it never rescales silently; use
     :func:`canonicalize_phase` to normalize a raw vector) and applies the
-    canonical phase. Instances are immutable; equality compares canonical
+    canonical phase. Instances are frozen; equality compares canonical
     representatives componentwise within the state-equality tolerance.
     """
 
-    __slots__ = ("_amplitudes",)
+    amplitudes: np.ndarray
 
-    def __init__(self, amplitudes):
-        arr = np.array(_as_vector(amplitudes), dtype=np.complex128)
+    def __post_init__(self):
+        arr = np.array(_as_vector(self.amplitudes), dtype=np.complex128)
         if arr.size < 2:
             raise ValueError("a qudit state needs dimension >= 2")
         norm = np.linalg.norm(arr)
@@ -93,92 +95,78 @@ class PureState:
             raise ValueError(f"state vector is not unit norm: |v| = {norm!r}")
         arr = _fixed_phase(arr)
         arr.setflags(write=False)
-        self._amplitudes = arr
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amplitudes
+        object.__setattr__(self, "amplitudes", arr)
 
     @property
     def dimension(self) -> int:
-        return self._amplitudes.size
+        return self.amplitudes.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PureState):
             return NotImplemented
         if self.dimension != other.dimension:
             return False
-        gap = np.abs(self._amplitudes - other._amplitudes).max()
+        gap = np.abs(self.amplitudes - other.amplitudes).max()
         return bool(gap <= DEFAULT_TOLS.state_equality)
 
     __hash__ = None  # tolerance-based equality is incompatible with hashing
 
     def __repr__(self) -> str:
-        return f"PureState({np.array2string(self._amplitudes, precision=6)})"
+        return f"PureState({np.array2string(self.amplitudes, precision=6)})"
 
 
-class UnitaryOperator:
-    """Square complex matrix validated as unitary at construction."""
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class _SquareOperator:
+    """Finite square complex matrix, stored read-only once the subclass's
+    ``_check_defect`` has accepted it."""
 
-    __slots__ = ("_matrix",)
+    matrix: np.ndarray
 
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
+        self._check_defect(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dimension})"
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class UnitaryOperator(_SquareOperator):
+    """Square complex matrix validated as unitary at construction."""
+
+    @staticmethod
+    def _check_defect(m: np.ndarray) -> None:
         defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if defect > DEFAULT_TOLS.unitarity:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
-        m.setflags(write=False)
-        self._matrix = m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dimension(self) -> int:
-        return self._matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"UnitaryOperator(dim={self.dimension})"
 
 
-class HermitianOperator:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class HermitianOperator(_SquareOperator):
     """Square complex matrix validated as Hermitian at construction."""
 
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
+    @staticmethod
+    def _check_defect(m: np.ndarray) -> None:
         defect = np.abs(m - m.conj().T).max()
         if defect > DEFAULT_TOLS.hermiticity:
             raise ValueError(f"matrix is not Hermitian: max |H - H^H| = {defect:.3e}")
-        m.setflags(write=False)
-        self._matrix = m
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def dimension(self) -> int:
-        return self._matrix.shape[0]
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and the matching orthonormal eigenvector columns."""
-        return np.linalg.eigh(self._matrix)
-
-    def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dimension})"
+        return np.linalg.eigh(self.matrix)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ProductPlay:
     """One pure state per player; the joint play is their tensor product.
 
@@ -186,27 +174,23 @@ class ProductPlay:
     game-shaped API.
     """
 
-    __slots__ = ("_factors",)
+    factors: tuple[PureState, ...]
 
-    def __init__(self, factors: Iterable[PureState | np.ndarray]):
+    def __post_init__(self):
         states = tuple(
-            f if isinstance(f, PureState) else PureState(f) for f in factors
+            f if isinstance(f, PureState) else PureState(f) for f in self.factors
         )
         if len(states) < 2:
             raise ValueError("a product play needs at least two factors")
-        self._factors = states
-
-    @property
-    def factors(self) -> tuple[PureState, ...]:
-        return self._factors
+        object.__setattr__(self, "factors", states)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(f.dimension for f in self._factors)
+        return tuple(f.dimension for f in self.factors)
 
     def replace(self, i: int, state: PureState) -> "ProductPlay":
         """New play with factor ``i`` swapped out."""
-        factors = list(self._factors)
+        factors = list(self.factors)
         factors[i] = state if isinstance(state, PureState) else PureState(state)
         return ProductPlay(factors)
 
@@ -214,7 +198,7 @@ class ProductPlay:
         if not isinstance(other, ProductPlay):
             return NotImplemented
         return self.dims == other.dims and all(
-            a == b for a, b in zip(self._factors, other._factors)
+            a == b for a, b in zip(self.factors, other.factors)
         )
 
     __hash__ = None

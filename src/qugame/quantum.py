@@ -103,27 +103,26 @@ class ObservablePayoff:
 PayoffSpec = OverlapPayoff | ObservablePayoff
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QuantumGame:
     """N-player game: per-player qudit dimensions, a joint unitary, payoff specs."""
 
-    __slots__ = ("_dims", "_unitary", "_payoffs")
+    dims: tuple[int, ...]
+    unitary: UnitaryOperator
+    payoffs: tuple[PayoffSpec, ...]
 
-    def __init__(
-        self,
-        dims: Sequence[int],
-        unitary: UnitaryOperator | np.ndarray,
-        payoffs: Sequence[PayoffSpec],
-    ):
-        dims = tuple(int(d) for d in dims)
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
         if len(dims) < 2:
             raise ValueError("a quantum game needs at least two players")
         if any(d < 2 for d in dims):
             raise ValueError("every player needs a qudit of dimension >= 2")
         joint = math.prod(dims)
-        u = unitary if isinstance(unitary, UnitaryOperator) else UnitaryOperator(unitary)
+        u = self.unitary
+        u = u if isinstance(u, UnitaryOperator) else UnitaryOperator(u)
         if u.dimension != joint:
             raise ValueError(f"unitary has dimension {u.dimension}, joint space needs {joint}")
-        specs = tuple(payoffs)
+        specs = tuple(self.payoffs)
         if len(specs) != len(dims):
             raise ValueError(f"{len(dims)} players but {len(specs)} payoff specs")
         for i, spec in enumerate(specs):
@@ -133,42 +132,30 @@ class QuantumGame:
                 raise ValueError(f"payoff {i}: target dimension {spec.target.dimension} != {joint}")
             if isinstance(spec, ObservablePayoff) and spec.eigenvalues.size != joint:
                 raise ValueError(f"payoff {i}: {spec.eigenvalues.size} eigenvalues != {joint}")
-        self._dims = dims
-        self._unitary = u
-        self._payoffs = specs
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "payoffs", specs)
 
     @property
     def num_players(self) -> int:
-        return len(self._dims)
+        return len(self.dims)
 
     @property
     def joint_dimension(self) -> int:
-        return math.prod(self._dims)
-
-    @property
-    def unitary(self) -> UnitaryOperator:
-        return self._unitary
-
-    @property
-    def payoffs(self) -> tuple[PayoffSpec, ...]:
-        return self._payoffs
+        return math.prod(self.dims)
 
     def check_play(self, play: ProductPlay) -> list[np.ndarray]:
         """Refuse a play of other dims than the game's; return its raw factor arrays."""
-        if play.dims != self._dims:
-            raise ValueError(f"play dims {play.dims} do not match game dims {self._dims}")
+        if play.dims != self.dims:
+            raise ValueError(f"play dims {play.dims} do not match game dims {self.dims}")
         return [f.amplitudes for f in play.factors]
 
     def __repr__(self) -> str:
         kinds = ",".join(
             "overlap" if isinstance(p, OverlapPayoff) else "observable"
-            for p in self._payoffs
+            for p in self.payoffs
         )
-        return f"QuantumGame(dims={self._dims}, payoffs=[{kinds}])"
+        return f"QuantumGame(dims={self.dims}, payoffs=[{kinds}])"
 
 
 def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -505,10 +492,15 @@ def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
     return np.array([attainable - current for _, attainable, current in optima])
 
 
+MAX_PROBES = 1024   # two (joint, 1 + MAX_PROBES) complex stacks: 134 MB at joint dimension 4,096
+
+
 def _check_verify_args(epsilon: float, num_probes: int) -> None:
     check_threshold("epsilon", epsilon)
     if num_probes < 0:
         raise ValueError(f"num_probes must be >= 0, got {num_probes!r}")
+    if num_probes > MAX_PROBES:   # before any probe is drawn
+        raise ValueError(f"num_probes must be <= {MAX_PROBES}, got {num_probes!r}")
 
 
 def verify_epsilon_nash_quantum(

@@ -62,11 +62,26 @@ def test_build_kinds_emit_round_trippable_documents(tmp_path):
     assert gd.serialize_schedule(gd.parse_schedule(text)) + "\n" == text
 
 
-def test_build_grover_rejects_bad_split(tmp_path):
+def test_build_grover_rejects_bad_split(tmp_path, capsys):
     out = tmp_path / "g.json"
     rc = run("build", "--kind", "grover", "--n-qubits", 3, "--split", "1,1",
              "--out", out)
     assert rc == 1
+    assert not out.exists()
+    for split in ("a,b", "1", "1,2,3"):
+        capsys.readouterr()
+        assert run("build", "--kind", "grover", "--n-qubits", 3, "--split", split,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: --split: expected two comma-separated counts\n"
+        assert not out.exists()
+
+
+def test_solve_and_build_take_no_seed(tmp_path):
+    # neither draws a random number, so --seed is an unknown argument there
+    bell = build(tmp_path, "bell-state-prep")
+    out = tmp_path / "x.json"
+    assert run("build", "--kind", "bell-state-prep", "--seed", 3, "--out", out) == 2
+    assert run("solve", "--input", bell, "--seed", 3, "--out", out) == 2
     assert not out.exists()
 
 
@@ -524,6 +539,27 @@ def test_bad_thresholds_exit_1_naming_the_parameter(tmp_path, capsys, command, f
     assert run(*argv, flag, value, "--out", out) == 1
     assert capsys.readouterr().err.startswith(f"error: {name} must be")
     assert not out.exists()
+
+
+def test_verify_refuses_more_than_max_probes_before_drawing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("probes drawn past MAX_PROBES")
+
+    bell = build(tmp_path, "bell-state-prep")
+    play = tmp_path / "play.json"
+    play.write_text(gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([1, 0])))) + "\n")
+    out = tmp_path / "cert.json"
+    argv = ["verify", "--input", bell, "--play", play, "--out", out, "--probes"]
+    monkeypatch.setattr(quantum, "_haar_rows", refuse)
+    capsys.readouterr()
+    assert run(*argv, quantum.MAX_PROBES + 1) == 1
+    assert capsys.readouterr().err == (f"error: num_probes must be <= {quantum.MAX_PROBES}, "
+                                       f"got {quantum.MAX_PROBES + 1}\n")
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run(*argv, quantum.MAX_PROBES) == 0
+    doc = json.loads(out.read_text())
+    assert doc["accepted"] is True and doc["probes_per_player"] == quantum.MAX_PROBES
 
 
 # ----------------------------------------------------------------- sweep ---

@@ -5,6 +5,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from qugame.builders import bell_state_preparation_demo
+from qugame.classical import FiniteGame, MixedProfile
+from qugame.quantum import QuantumGame
 from qugame.linalg import (
     HermitianOperator,
     ProductPlay,
@@ -92,6 +95,92 @@ def test_product_play_replace():
     assert swapped.factors[0] == PureState([0, 1])
     # original untouched
     assert play.factors[0] == PureState([1, 0])
+
+
+def _validated_values():
+    return [
+        PureState([0.6, 0.8j]),
+        UnitaryOperator(np.eye(4)),
+        HermitianOperator(np.eye(2)),
+        ProductPlay(([1, 0], [0, 0, 1])),
+        FiniteGame([np.ones((2, 3))] * 2),
+        MixedProfile(([0.5, 0.5], [1, 0, 0])),
+        bell_state_preparation_demo(),
+    ]
+
+
+def test_validated_values_refuse_rebinding():
+    # a value stays the point it was validated as: every stored slot, the
+    # base class's included, refuses assignment and deletion
+    for value in _validated_values():
+        names = [n for cls in type(value).__mro__ for n in vars(cls).get("__slots__", ())]
+        assert names, type(value).__name__
+        assert not hasattr(value, "__dict__")
+        for name in names:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before
+
+
+def test_validated_value_reprs_are_pinned():
+    assert [repr(v) for v in _validated_values()] == [
+        "PureState([0.6+0.j  0. +0.8j])",
+        "UnitaryOperator(dim=4)",
+        "HermitianOperator(dim=2)",
+        "ProductPlay(dims=(2, 3))",
+        "FiniteGame(strategy_counts=(2, 3))",
+        "MixedProfile(strategy_counts=(2, 3))",
+        "QuantumGame(dims=(2, 2), payoffs=[overlap,overlap])",
+    ]
+
+
+def test_validated_values_take_their_parameters_by_keyword():
+    assert PureState(amplitudes=[0, 1]) == PureState([0, 1])
+    assert UnitaryOperator(matrix=np.eye(3)).dimension == 3
+    assert HermitianOperator(matrix=np.diag([1.0, -1.0])).dimension == 2
+    play = ProductPlay(factors=iter(([1, 0], [0, 1])))
+    assert play.factors == (PureState([1, 0]), PureState([0, 1]))
+    game = FiniteGame(payoff_tensors=[np.eye(2), -np.eye(2)])
+    assert game.strategy_counts == (2, 2) and game.num_players == 2
+    assert MixedProfile(distributions=[[1, 0], [0, 1]]).strategy_counts == (2, 2)
+    bell = bell_state_preparation_demo()
+    again = QuantumGame(dims=[2, 2], unitary=bell.unitary.matrix, payoffs=list(bell.payoffs))
+    assert again.dims == (2, 2) and again.payoffs == bell.payoffs
+    assert isinstance(again.unitary, UnitaryOperator)
+    assert np.array_equal(again.unitary.matrix, bell.unitary.matrix)
+
+
+@pytest.mark.parametrize("cls", [UnitaryOperator, HermitianOperator])
+def test_operators_refuse_bad_matrices_with_pinned_messages(cls):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        cls(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(4,\)$"):
+        cls(np.zeros(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            cls([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises((ValueError, RuntimeError)):
+        cls(np.eye(2)).matrix[0, 0] = 2.0
+
+
+def test_operator_defect_messages_are_pinned():
+    shear = [[1.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(ValueError) as err:
+        UnitaryOperator(shear)
+    assert str(err.value) == "matrix is not unitary: max |U^H U - I| = 1.000e+00"
+    with pytest.raises(ValueError) as err:
+        HermitianOperator(shear)
+    assert str(err.value) == "matrix is not Hermitian: max |H - H^H| = 1.000e+00"
+    # each subclass applies its own defect check and no other
+    rotation, weights = [[0.0, 1.0], [-1.0, 0.0]], np.diag([1.0, 2.0])
+    assert UnitaryOperator(rotation).dimension == HermitianOperator(weights).dimension == 2
+    with pytest.raises(ValueError, match="not Hermitian: max"):
+        HermitianOperator(rotation)
+    with pytest.raises(ValueError, match="not unitary: max"):
+        UnitaryOperator(weights)
 
 
 # ----------------------------------------------------- products and maps ---

@@ -580,6 +580,16 @@ def test_verify_refuses_a_negative_probe_count_before_any_gain(monkeypatch):
         qq.verify_epsilon_nash_quantum(game, play, 1e-6, num_probes=-3)
 
 
+def test_verify_refuses_more_than_max_probes_before_any_gain(monkeypatch):
+    game = bell_state_preparation_demo()
+    play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
+    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    monkeypatch.setattr(qq, "_haar_rows", _refuse)
+    too_many = qq.MAX_PROBES + 1
+    with pytest.raises(ValueError, match=f"^num_probes must be <= {qq.MAX_PROBES}, got {too_many}$"):
+        qq.verify_epsilon_nash_quantum(game, play, 1e-6, num_probes=too_many)
+
+
 @pytest.mark.parametrize("epsilon", BAD_THRESHOLDS)
 def test_grid_search_refuses_a_bad_epsilon_before_any_table(monkeypatch, epsilon):
     monkeypatch.setattr(qq, "_scalar_payoff_tables", _refuse)
