@@ -15,6 +15,7 @@ import numpy as np
 from .config import check_threshold
 from .linalg import (
     HermitianOperator,
+    ProductPlay,
     PureState,
     UnitaryOperator,
     _fixed_phase,
@@ -23,15 +24,17 @@ from .linalg import (
     matrix_exponential_unitary,
 )
 from .quantum import (
+    MAX_STARTS,
     DynamicsStatus,
     OverlapPayoff,
     QuantumGame,
+    _check_dynamics_args,
+    _dynamics,
+    _factor_distances,
     _payoff_of,
-    iterated_best_response,
+    _random_starts,
     overlap_fixed_point_candidates,
-    play_distance,
     prepared_vector,
-    random_play,
     verify_epsilon_nash_quantum,
 )
 
@@ -231,11 +234,13 @@ def sweep_adiabatic(
 ) -> SweepReport:
     """Run best-response dynamics across the schedule's dial values.
 
-    Each dial value gets ``starts_per_s`` Haar-random starts, all drawn from
-    the shared rng before any of that value's verification probes. A row
+    Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts,
+    drawn as one array from the shared rng before any of that value's
+    verification probes, and run as one stack (several on a large game). A row
     records the dynamics outcome, player 1's payoff, the magnitude of the
-    prepared state's overlap with the final ground state, and whether the
-    final play passed equilibrium verification at ``epsilon``.
+    prepared state's overlap with the final ground state, and whether the final
+    play passed equilibrium verification at ``epsilon``; rows are verified one at
+    a time, in row order.
 
     The two default targets are orthogonal, which makes the round-robin sweep
     map traceless: away from the degenerate endpoints the dynamics orbit the
@@ -248,7 +253,9 @@ def sweep_adiabatic(
     """
     if starts_per_s < 1:
         raise ValueError("need at least one start per dial value")
-    check_threshold("tol", tol)
+    if starts_per_s > MAX_STARTS:   # before any start is drawn
+        raise ValueError(f"starts_per_s must be <= {MAX_STARTS}, got {starts_per_s!r}")
+    _check_dynamics_args(tol, max_iter)
     check_threshold("epsilon", epsilon)
     rng = as_rng(seed)
     ground = ground_state(schedule.h_final)
@@ -258,30 +265,30 @@ def sweep_adiabatic(
     for s in schedule.s_values:
         game = build_adiabatic_game(schedule, s, targets)
         candidates = overlap_fixed_point_candidates(game)
-        starts = [random_play(game, rng) for _ in range(starts_per_s)]
-        for start_id, start in enumerate(starts):
-            outcome = iterated_best_response(game, start, tol=tol, max_iter=max_iter)
-            final = outcome.play
-            label = outcome.status.value
-            cert = None
-            if outcome.status is DynamicsStatus.CYCLE_DETECTED and candidates:
-                resolved = min(candidates, key=lambda c: play_distance(c, final))
+        starts = _random_starts(game, starts_per_s, rng)
+        runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=False)
+        for start_id, run in enumerate(runs):
+            final, label, cert = run.factors, run.status.value, None
+            if run.status is DynamicsStatus.CYCLE_DETECTED and candidates:
+                resolved = min(candidates, key=lambda c: float(
+                    _factor_distances(game.check_play(c), final)))
                 cert = verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8, seed=rng)
                 if cert is not None:
-                    final, label = resolved, "cycle_resolved"
+                    final, label = game.check_play(resolved), "cycle_resolved"
             if cert is None:
-                cert = verify_epsilon_nash_quantum(game, final, epsilon, num_probes=8, seed=rng)
-            prepared = prepared_vector(game, game.check_play(final))
+                cert = verify_epsilon_nash_quantum(
+                    game, ProductPlay(final), epsilon, num_probes=8, seed=rng)
+            prepared = prepared_vector(game, final)
             unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
             ok = cert is not None
-            converged += int(outcome.converged)
+            converged += int(run.status is DynamicsStatus.CONVERGED)
             verified += int(ok)
             rows.append(
                 SweepRow(
                     s=float(s),
                     start_id=start_id,
                     outcome=label,
-                    iterations=outcome.iterations,
+                    iterations=run.iterations,
                     payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
                     ground_overlap_magnitude=float(abs(np.vdot(ground.amplitudes, unit))),
                     verified=ok,

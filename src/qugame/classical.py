@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, check_threshold
-from .linalg import as_rng
+from .linalg import _frozen, as_rng
 
 __all__ = [
     "FiniteGame",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FiniteGame:
     """Normal-form game given by one payoff tensor per player.
@@ -74,6 +75,7 @@ class FiniteGame:
         return f"FiniteGame(strategy_counts={self.strategy_counts})"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class MixedProfile:
     """One probability distribution over pure strategies per player."""

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -74,6 +74,24 @@ def _fixed_phase(arr: np.ndarray) -> np.ndarray:
     raise ValueError("cannot fix the phase of a (numerically) zero vector")
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    """Refuse every assignment and deletion on a frozen slotted dataclass. The
+    ``__setattr__`` and ``__delattr__`` that ``dataclass(slots=True)`` generates
+    still name the class it replaced, so for a name that is not a field they
+    raise TypeError; these two raise FrozenInstanceError for any name."""
+    cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PureState:
     """Canonical unit-norm representative of a projective qudit state.
@@ -140,6 +158,7 @@ class _SquareOperator:
         return f"{type(self).__name__}(dim={self.dimension})"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class UnitaryOperator(_SquareOperator):
     """Square complex matrix validated as unitary at construction."""
@@ -151,6 +170,7 @@ class UnitaryOperator(_SquareOperator):
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class HermitianOperator(_SquareOperator):
     """Square complex matrix validated as Hermitian at construction."""
@@ -166,6 +186,7 @@ class HermitianOperator(_SquareOperator):
         return np.linalg.eigh(self.matrix)
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ProductPlay:
     """One pure state per player; the joint play is their tensor product.
@@ -267,13 +288,21 @@ def fubini_study_distance(p, q) -> float:
     av, bv = _as_vector(p), _as_vector(q)
     if av.size != bv.size:
         raise ValueError(f"dimension mismatch: {av.size} vs {bv.size}")
-    return _projective_distance(av, bv)
+    return float(_projective_distances(av, bv))
 
 
-def _projective_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """:func:`fubini_study_distance` of two raw unit vectors of one size, unchecked."""
-    inner = np.vdot(a, b)
-    return float(np.arctan2(np.linalg.norm(b - a * inner), abs(inner)))
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row (last axis) of a complex array, bit for bit
+    ``np.linalg.norm`` of each row: the dot products of the real and imaginary parts."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
+def _projective_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`fubini_study_distance` of raw unit vectors row by row (last axis,
+    broadcasting), unchecked: ``vecdot`` as ``np.vdot``, the modulus by ``hypot``."""
+    inner = np.vecdot(a, b)
+    residual = b - a * inner[..., None]
+    return np.arctan2(_row_norms(residual), np.hypot(inner.real, inner.imag))
 
 
 def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> UnitaryOperator:
@@ -299,13 +328,11 @@ def haar_random_state(dimension: int, seed: int | np.random.Generator | None) ->
     return canonicalize_phase(z)
 
 
-def _haar_rows(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar states as rows, bit for bit ``count`` :func:`haar_random_state`
-    calls and their rng stream: norms from ``np.linalg.norm``'s strided dot products,
-    pivot modulus by ``hypot``, the scalar phase rule for a tiny or real pivot."""
-    draw = rng.standard_normal((count, 2, dimension))
-    z = draw[:, 0] + 1j * draw[:, 1]
-    rows = z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
+def _unit_rows(z: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each nonzero row of a ``(k, d)`` complex stack divided by its ``norms`` (the
+    :func:`_row_norms` of ``z``) and phase-fixed, bit for bit :func:`canonicalize_phase`
+    of each row: pivot modulus by ``hypot``, the scalar phase rule for a tiny or real pivot."""
+    rows = z / norms[:, None]
     pivot = rows[:, 0]
     modulus = np.hypot(pivot.real, pivot.imag)
     scalar = (modulus <= DEFAULT_TOLS.phase_cutoff) | (pivot.imag == 0.0)
@@ -314,6 +341,14 @@ def _haar_rows(dimension: int, count: int, rng: np.random.Generator) -> np.ndarr
     for k in np.flatnonzero(scalar):
         fixed[k] = _fixed_phase(rows[k])
     return fixed
+
+
+def _haar_rows(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar states as rows, bit for bit ``count`` :func:`haar_random_state`
+    calls and their rng stream."""
+    draw = rng.standard_normal((count, 2, dimension))
+    z = draw[:, 0] + 1j * draw[:, 1]
+    return _unit_rows(z, _row_norms(z))
 
 
 def haar_random_unitary(dimension: int, seed: int | np.random.Generator | None) -> UnitaryOperator:

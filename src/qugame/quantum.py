@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -34,12 +33,13 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
-    _fixed_phase,
+    _frozen,
     _haar_rows,
-    _projective_distance,
+    _projective_distances,
+    _row_norms,
+    _unit_rows,
     as_rng,
     canonicalize_phase,
-    haar_random_state,
 )
 
 __all__ = [
@@ -103,6 +103,7 @@ class ObservablePayoff:
 PayoffSpec = OverlapPayoff | ObservablePayoff
 
 
+@_frozen
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class QuantumGame:
     """N-player game: per-player qudit dimensions, a joint unitary, payoff specs."""
@@ -158,21 +159,33 @@ class QuantumGame:
         return f"QuantumGame(dims={self.dims}, payoffs=[{kinds}])"
 
 
+def _outer(a, b) -> np.ndarray:
+    """``np.kron`` of two vectors, or of each column pair of two column stacks
+    (a one-column stack broadcasts), as one outer product: the same products."""
+    product = np.asarray(a)[:, None] * np.asarray(b)[None]
+    return product.reshape(-1, *product.shape[2:])
+
+
 def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Game unitary applied to the tensor product of raw slot vectors, or to one
-    joint column per column of a ``(dims[i], k)`` stack among ``(dims[j], 1)`` columns.
+    joint column per column of ``(dims[j], k)`` stacks (``(dims[j], 1)`` broadcasts).
     Linear in every slot: callers may pass unnormalized vectors (payoff linearity
     is stated on the ambient space). A non-finite factor entry shows in the product.
     """
     if len(factors) == 0:
         raise ValueError("a preparation needs at least one slot vector")
     with np.errstate(invalid="ignore", over="ignore"):   # refused below, not warned about
-        joint = np.asarray(reduce(np.kron, factors), dtype=np.complex128)
+        joint = np.asarray(reduce(_outer, factors), dtype=np.complex128)
     if joint.shape[:1] != (game.joint_dimension,):
         raise ValueError("slot vectors do not match the game's dimensions")
     if not np.isfinite(joint).all():
         raise ValueError("slot vectors have non-finite entries")
     return game.unitary.matrix @ joint
+
+
+def _play_rows(game: QuantumGame, play: ProductPlay) -> list[np.ndarray]:
+    """:meth:`QuantumGame.check_play` with each factor as a one-row ``(1, dims[i])`` stack."""
+    return [f[None] for f in game.check_play(play)]
 
 
 def _spec_of(game: QuantumGame, i: int, kind: type) -> PayoffSpec:
@@ -217,48 +230,68 @@ def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
 
 
 def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Player ``i``'s payoff as a form in their slot vector q, the others keeping
-    their raw ``factors``: v = W^H target (payoff <v, q>) for an overlap player,
-    the Hermitian M = W^H diag(eigenvalues) W (payoff <q, M q>) for an observable
-    one, where W, shape (joint, dims[i]), gives prepared_vector == W @ q.
+    """Player ``i``'s payoff as a form in their slot vector q, for each row of the
+    others' ``(k, dims[j])`` factor stacks (a one-row stack broadcasts): rows v =
+    W^H target (payoff <v, q>) for an overlap player, shape (k, dims[i]), or the
+    Hermitian M = W^H diag(eigenvalues) W (payoff <q, M q>) for an observable one,
+    shape (k, dims[i], dims[i]), where W, shape (joint, dims[i]), gives
+    prepared_vector == W @ q.
 
-    W contracts U's column axes with the opponents' factors: O(d^2) time at joint
-    dimension d, no joint operator formed, O(joint * dims[i]) memory for two
-    players (with more, the first contraction holds d^2 / dims[j] entries for
-    the last opponent j).
+    W contracts U's column axes with the opponents' factors: O(d^2) time per row
+    at joint dimension d, no joint operator formed, a (k, joint, dims[i]) complex
+    intermediate for two players (with more, the first contraction holds
+    k * d^2 / dims[j] entries for the last opponent j; :func:`_dynamics` bounds k
+    by ``STACK_ENTRIES``). Each row is contracted by the same matrix-vector
+    products as a one-row stack, so rows keep their bits.
     """
     dims = game.dims
-    w = game.unitary.matrix.reshape((game.joint_dimension, *dims))
+    w = game.unitary.matrix.reshape((1, game.joint_dimension, *dims))
     # highest axis first keeps the lower axis numbers valid; matmul reads the view uncopied
     for j in reversed(range(len(dims))):
         if j != i:
-            w = np.moveaxis(w, j + 1, -1) @ factors[j]
-    w = w.reshape(-1, dims[i])
+            f = factors[j]
+            column = f.reshape(len(f), *[1] * (w.ndim - 3), -1, 1)
+            # axis j is the last but at most one (player i's): a swap is moveaxis(w, j + 2, -1)
+            w = (w.swapaxes(j + 2, -1) @ column)[..., 0]
     spec = game.payoffs[i]
     if isinstance(spec, OverlapPayoff):
         return (spec.target.amplitudes.conj() @ w).conj()
-    m = w.conj().T @ (spec.eigenvalues[:, None] * w)
-    return 0.5 * (m + m.conj().T)  # symmetrize away rounding noise
+    m = w.conj().swapaxes(-1, -2) @ (spec.eigenvalues[:, None] * w)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))  # symmetrize away rounding noise
 
 
 def _slot_optimum(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> tuple:
-    """Player ``i``'s raw canonical best response to raw ``factors``, its payoff and
-    the current factor f's payoff, from one :func:`_slot_form` and at most one eigh.
-    Overlap: v / |v| pays |v| against |<v, f>|; an indifferent player (|v| within
-    tolerance) keeps f. Observable: M's top eigenvector pays the top eigenvalue
-    against <f, M f>; in a degenerate top block the lowest-index vector is taken."""
+    """Per row of the ``(k, dims[j])`` factor stacks: player ``i``'s raw best-response
+    direction, its payoff and the current factor f's payoff, from one
+    :func:`_slot_form` and at most one batched eigh. Overlap: the direction v pays
+    |v| against |<v, f>|. Observable: M's top eigenvector pays the top eigenvalue
+    against <f, M f>; in a degenerate top block the lowest-index vector is taken.
+    Directions are neither normalized nor phase-fixed (see :func:`_best_rows`)."""
     spec, f = game.payoffs[i], factors[i]
     form = _slot_form(game, factors, i)
     if isinstance(spec, OverlapPayoff):
-        attainable, current = np.linalg.norm(form), abs(np.vdot(form, f))
-        if attainable <= DEFAULT_TOLS.indifference:
-            return f, attainable, current
-        direction = form
-    else:
-        values, vectors = np.linalg.eigh(form)
-        attainable, current = values.max(), np.vdot(f, form @ f).real
-        direction = vectors[:, int(np.argmax(values >= attainable - DEFAULT_TOLS.eigenvalue_tie))]
-    return _fixed_phase(direction / np.linalg.norm(direction)), attainable, current
+        inner = np.vecdot(form, f)   # as np.vdot
+        return form, _row_norms(form), np.hypot(inner.real, inner.imag)
+    values, vectors = np.linalg.eigh(form)
+    attainable = values[:, -1]   # eigh sorts ascending
+    current = np.vecdot(f, (form @ f[..., None])[..., 0]).real
+    top = (values >= attainable[:, None] - DEFAULT_TOLS.eigenvalue_tie).argmax(axis=-1)
+    return vectors[np.arange(len(top)), :, top], attainable, current
+
+
+def _best_rows(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Player ``i``'s canonical best response to each row of the factor stacks: the
+    :func:`_slot_optimum` direction normalized and phase-fixed, except that an
+    indifferent overlap row (|v| within tolerance) keeps its factor."""
+    direction, attainable, _ = _slot_optimum(game, factors, i)
+    if isinstance(game.payoffs[i], ObservablePayoff):
+        return _unit_rows(direction, _row_norms(direction))
+    moved = attainable > DEFAULT_TOLS.indifference   # attainable is |v|
+    if moved.all():
+        return _unit_rows(direction, attainable)
+    best = factors[i].copy()
+    best[moved] = _unit_rows(direction[moved], attainable[moved])
+    return best
 
 
 def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
@@ -270,14 +303,14 @@ def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndar
     """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, OverlapPayoff)
-    return _slot_form(game, game.check_play(play), i)
+    return _slot_form(game, _play_rows(game, play), i)[0]
 
 
 def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
     """Hermitian matrix M with observable_payoff == <q, M q> for slot states q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, ObservablePayoff)
-    return _slot_form(game, game.check_play(play), i)
+    return _slot_form(game, _play_rows(game, play), i)[0]
 
 
 def best_response_overlap(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
@@ -296,8 +329,8 @@ def best_response_observable(game: QuantumGame, play: ProductPlay, i: int) -> Pu
 
 def best_response(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
     """Player ``i``'s optimal slot state, others held fixed: the validated
-    :func:`_slot_optimum` vector, whatever the payoff kind."""
-    return PureState(_slot_optimum(game, game.check_play(play), i)[0])
+    :func:`_best_rows` vector, whatever the payoff kind."""
+    return PureState(_best_rows(game, _play_rows(game, play), i)[0])
 
 
 class DynamicsStatus(enum.Enum):
@@ -335,25 +368,149 @@ class DynamicsOutcome:
         return self.status is DynamicsStatus.CONVERGED
 
 
+def _random_starts(game: QuantumGame, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``count`` Haar-random plays as one ``(count, dims[i])`` factor stack per player,
+    drawn as one ``(count, sum 2 dims[i])`` array: bit for bit ``count`` rounds of
+    one :func:`~qugame.linalg.haar_random_state` per player, and their rng stream."""
+    draw = rng.standard_normal((count, 2 * sum(game.dims)))
+    stacks, at = [], 0
+    for d in game.dims:
+        z = draw[:, at:at + d] + 1j * draw[:, at + d:at + 2 * d]
+        stacks.append(_unit_rows(z, _row_norms(z)))
+        at += 2 * d
+    return stacks
+
+
 def random_play(game: QuantumGame, seed: int | np.random.Generator | None) -> ProductPlay:
     """Independent Haar-random factor per player."""
-    rng = as_rng(seed)
-    return ProductPlay([haar_random_state(d, rng) for d in game.dims])
+    return ProductPlay([stack[0] for stack in _random_starts(game, 1, as_rng(seed))])
 
 
-def _factor_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    """Largest per-factor projective distance between two lists of raw unit factors."""
+def _factor_distances(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
+    """Largest per-factor projective distance between two lists of raw unit factors,
+    row by row for factor stacks (broadcasting)."""
     if len(a) != len(b):
         raise ValueError("plays have different player counts")
-    return max(_projective_distance(fa, fb) for fa, fb in zip(a, b))
+    return reduce(np.maximum, map(_projective_distances, a, b))
 
 
 def play_distance(a: ProductPlay, b: ProductPlay) -> float:
     """Largest per-factor projective distance between two product plays."""
-    return _factor_distance([f.amplitudes for f in a.factors], [f.amplitudes for f in b.factors])
+    return float(_factor_distances([f.amplitudes for f in a.factors],
+                                   [f.amplitudes for f in b.factors]))
 
 
 CYCLE_WINDOW = 32   # sweeps of history searched for a revisit
+
+# a slot form's first contraction holds up to joint**2 / min(dims) complex entries per
+# start ((starts, joint, dims[i]) for two players); _dynamics runs at most STACK_ENTRIES
+# of them (64 MiB) per stack, or one start at a time where one start needs more
+STACK_ENTRIES = 1 << 22
+MAX_STARTS = 128   # starts drawn, held and reported by one multi-start call
+
+
+def _stack_size(dims: Sequence[int]) -> int:
+    """Starts per stack in :func:`_dynamics` for a game of these dims: as many as
+    ``STACK_ENTRIES`` slot-form intermediate entries allow, at least one."""
+    return max(1, STACK_ENTRIES * min(dims) // math.prod(dims) ** 2)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """One start's dynamics on raw arrays: final factors, trace records if kept."""
+
+    status: DynamicsStatus
+    iterations: int
+    factors: list[np.ndarray]
+    trace: tuple[TraceRecord, ...]
+    period: int | None = None
+    cycle_start: int | None = None
+
+    def outcome(self) -> DynamicsOutcome:
+        return DynamicsOutcome(self.status, ProductPlay(self.factors), self.iterations,
+                               self.trace, self.period, self.cycle_start)
+
+
+def _check_dynamics_args(tol: float, max_iter: int) -> None:
+    check_threshold("tol", tol)
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+
+
+def _dynamics(
+    game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
+) -> list[_Run]:
+    """:func:`iterated_best_response` from every row of the ``(k, dims[i])`` start
+    stacks, :func:`_stack_size` rows at a time. Rows are independent and a stack
+    contracts each row as it would alone, so the split moves no factor, status or
+    step bits; trace payoffs, one matrix product per stack, round with its width."""
+    size = _stack_size(game.dims)
+    return [run for at in range(0, len(starts[0]), size)
+            for run in _stack_dynamics(game, [s[at:at + size] for s in starts],
+                                       tol=tol, max_iter=max_iter, trace=trace)]
+
+
+def _stack_dynamics(
+    game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
+) -> list[_Run]:
+    """:func:`iterated_best_response` from every row of the start stacks at once.
+    Each sweep takes one :func:`_best_rows` per player for the whole stack;
+    convergence and revisits are judged per row, against a history of the last
+    ``CYCLE_WINDOW`` sweeps, and a start leaves the stack when it converges or
+    closes a cycle. Trace records, from one :func:`prepared_vector` of the stack
+    per sweep, are kept only if ``trace``."""
+    factors = list(starts)
+    ids = np.arange(len(factors[0]))   # the start of each stack row
+    # the last CYCLE_WINDOW sweeps' factors, oldest first; the start counts as sweep 0
+    history = [f[None] for f in factors]
+    past = [0]
+    runs: list[_Run | None] = [None] * len(ids)
+    records: list[list[TraceRecord]] = [[] for _ in ids]
+
+    def finish(r, status, period=None, cycle_start=None):
+        runs[ids[r]] = _Run(status, sweep, [f[r] for f in factors], tuple(records[ids[r]]),
+                            period, cycle_start)
+
+    sweep = 0
+    while ids.size and sweep < max_iter:
+        sweep += 1
+        for i in range(game.num_players):
+            factors[i] = _best_rows(game, factors, i)
+        distances = _factor_distances(history, factors)
+        step = distances[-1]
+        if trace:
+            prepared = prepared_vector(game, [f.T for f in factors])
+            payoffs = np.array([_payoff_of(spec, prepared) for spec in game.payoffs], complex)
+            for start_id, values, step_distance in zip(ids, payoffs.T.tolist(), step.tolist()):
+                records[start_id].append(TraceRecord(sweep, tuple(values), step_distance))
+        done = converged = step <= tol
+        # a revisit is of a sweep at least two back (the start is none); demanding
+        # step >> gap separates a genuine orbit (large sweeps, near-exact revisit)
+        # from a convergent tail, where the gap shrinks in lockstep with the step
+        older = slice(int(past[0] == 0), -1)
+        gaps = distances[older]
+        if gaps.size:
+            revisit = (gaps <= DEFAULT_TOLS.cycle_match) & (step >= 10.0 * gaps)
+            done = converged | revisit.any(axis=0)
+        if done.any():   # finished starts leave the stack
+            for r in np.flatnonzero(done):
+                if converged[r]:
+                    finish(r, DynamicsStatus.CONVERGED)
+                else:
+                    start = past[older][int(revisit[:, r].argmax())]   # the oldest revisit
+                    finish(r, DynamicsStatus.CYCLE_DETECTED, sweep - start, start)
+            going = ~done
+            ids = ids[going]
+            if not ids.size:
+                break
+            history = [h[:, going] for h in history]
+            factors = [f[going] for f in factors]
+        history = [np.concatenate((h[1 - CYCLE_WINDOW:], f[None]))
+                   for h, f in zip(history, factors)]
+        past = (past + [sweep])[-CYCLE_WINDOW:]
+    for r in range(len(ids)):   # sweep == max_iter here
+        finish(r, DynamicsStatus.MAX_ITERATIONS)
+    return runs
 
 
 def iterated_best_response(
@@ -374,40 +531,13 @@ def iterated_best_response(
     while the play is still moving much faster than the revisit gap, so the
     shrinking tail of a convergent run is never misread as an orbit.
     """
-    check_threshold("tol", tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    factors = game.check_play(start if start is not None else random_play(game, seed))
-    history: deque[tuple[int, tuple[np.ndarray, ...]]] = deque(maxlen=CYCLE_WINDOW)
-    trace: list[TraceRecord] = []
-    for sweep in range(1, max_iter + 1):
-        previous = tuple(factors)
-        for i in range(game.num_players):
-            factors[i] = _slot_optimum(game, factors, i)[0]
-        step = _factor_distance(previous, factors)
-        prepared = prepared_vector(game, factors)
-        payoffs = tuple(complex(_payoff_of(spec, prepared)) for spec in game.payoffs)
-        trace.append(TraceRecord(sweep, payoffs, step))
-        if step <= tol:
-            return DynamicsOutcome(
-                DynamicsStatus.CONVERGED, ProductPlay(factors), sweep, tuple(trace)
-            )
-        for past_sweep, past_factors in history:
-            if sweep - past_sweep < 2:
-                continue
-            gap = _factor_distance(past_factors, factors)
-            # Demanding step >> gap separates a genuine orbit (large sweeps,
-            # near-exact revisit) from a convergent tail, where the revisit
-            # gap shrinks in lockstep with the step size.
-            if gap <= DEFAULT_TOLS.cycle_match and step >= 10.0 * gap:
-                return DynamicsOutcome(
-                    DynamicsStatus.CYCLE_DETECTED, ProductPlay(factors), sweep, tuple(trace),
-                    period=sweep - past_sweep, cycle_start=past_sweep,
-                )
-        history.append((sweep, tuple(factors)))
-    return DynamicsOutcome(
-        DynamicsStatus.MAX_ITERATIONS, ProductPlay(factors), max_iter, tuple(trace)
-    )
+    _check_dynamics_args(tol, max_iter)
+    if start is not None:
+        rows = _play_rows(game, start)
+    else:
+        rows = _random_starts(game, 1, as_rng(seed))
+    (run,) = _dynamics(game, rows, tol=tol, max_iter=max_iter, trace=True)
+    return run.outcome()
 
 
 def multi_start_dynamics(
@@ -418,12 +548,14 @@ def multi_start_dynamics(
     max_iter: int = 500,
     seed: int | np.random.Generator | None = None,
 ) -> list[DynamicsOutcome]:
-    """Run the dynamics from ``num_starts`` Haar-random starts (one shared rng)."""
-    rng = as_rng(seed)
-    return [
-        iterated_best_response(game, random_play(game, rng), tol=tol, max_iter=max_iter)
-        for _ in range(num_starts)
-    ]
+    """:func:`iterated_best_response` from ``num_starts`` (0 to ``MAX_STARTS``)
+    Haar-random starts drawn from one shared rng, run as stacks (see :func:`_dynamics`)."""
+    if not 0 <= num_starts <= MAX_STARTS:   # before any start is drawn
+        raise ValueError(f"num_starts must be 0 to {MAX_STARTS}, got {num_starts!r}")
+    _check_dynamics_args(tol, max_iter)
+    starts = _random_starts(game, num_starts, as_rng(seed))
+    runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=True)
+    return [run.outcome() for run in runs]
 
 
 def overlap_fixed_point_candidates(game: QuantumGame) -> list[ProductPlay]:
@@ -487,9 +619,9 @@ def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
     best response pays minus what the current factor f pays, |v| - |<v, f>| for
     an overlap player (the exact projective optimum gap, nonnegative) and the top
     eigenvalue of the effective observable M minus <f, M f> for an observable one."""
-    factors = game.check_play(play)
-    optima = [_slot_optimum(game, factors, i) for i in range(game.num_players)]
-    return np.array([attainable - current for _, attainable, current in optima])
+    rows = _play_rows(game, play)
+    optima = [_slot_optimum(game, rows, i) for i in range(game.num_players)]
+    return np.array([(attainable - current)[0] for _, attainable, current in optima])
 
 
 MAX_PROBES = 1024   # two (joint, 1 + MAX_PROBES) complex stacks: 134 MB at joint dimension 4,096
@@ -621,11 +753,11 @@ def grid_best_response_payoff(
     Overlap payoffs enter as magnitudes (the grid fixes representatives, so
     only the phase-free summary is comparable to the analytic optimum).
     """
-    factors = game.check_play(play)
+    rows = _play_rows(game, play)
     if game.dims[i] != 2:
         raise ValueError("the grid oracle handles qubit slots only")
     grid = grid_states(resolution)
-    form = _slot_form(game, factors, i)
+    form = _slot_form(game, rows, i)[0]
     if isinstance(game.payoffs[i], OverlapPayoff):
         return float(np.abs(grid @ np.conj(form)).max())
     weights = np.einsum("kl,mlk->m", form, _PAULIS).real / 2.0   # <q, M q> = s(q) . weights

@@ -194,6 +194,18 @@ def test_sweep_refuses_a_bad_threshold_before_any_run(monkeypatch, name, value):
         bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, **{name: value})
 
 
+def test_sweep_refuses_more_than_max_starts_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("starts drawn past MAX_STARTS")
+
+    monkeypatch.setattr(bld, "_random_starts", refuse)
+    monkeypatch.setattr(bld, "build_adiabatic_game", refuse)
+    too_many = qq.MAX_STARTS + 1
+    message = f"^starts_per_s must be <= {qq.MAX_STARTS}, got {too_many}$"
+    with pytest.raises(ValueError, match=message):
+        bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), too_many)
+
+
 def test_sweep_is_deterministic():
     sched = bld.demo_adiabatic_schedule()
     small = bld.AdiabaticSchedule(sched.h_initial, sched.h_final, (0.5,), sched.time)
@@ -243,20 +255,26 @@ def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
 
 
 def test_sweep_draws_a_dial_values_starts_before_its_probes(monkeypatch):
+    # the dial value's starts run as one stack, drawn before any probe: bit for
+    # bit the first per-start random_play calls on the sweep's rng
     sched = bld.demo_adiabatic_schedule()
     mid = bld.AdiabaticSchedule(sched.h_initial, sched.h_final, (0.5,), sched.time)
     starts = []
-    real = bld.iterated_best_response
+    real = bld._dynamics
 
-    def recording(game, start, **kwargs):
-        starts.append(start)
-        return real(game, start, **kwargs)
+    def recording(game, stacks, **kwargs):
+        starts.append(stacks)
+        return real(game, stacks, **kwargs)
 
-    monkeypatch.setattr(bld, "iterated_best_response", recording)
+    monkeypatch.setattr(bld, "_dynamics", recording)
     bld.sweep_adiabatic(mid, 3, seed=17)
     rng = np.random.default_rng(17)
     game = bld.build_adiabatic_game(mid, 0.5)
-    assert starts == [qq.random_play(game, rng) for _ in range(3)]
+    (stacks,) = starts
+    for r in range(3):
+        play = qq.random_play(game, rng)
+        for stack, factor in zip(stacks, play.factors):
+            assert stack[r].tobytes() == factor.amplitudes.tobytes()
 
 
 def test_sweep_resolves_the_orthogonal_target_orbit():

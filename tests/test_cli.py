@@ -588,6 +588,27 @@ def test_sweep_endpoint_schedule(tmp_path):
     assert all(c[2] == "converged" for c in cells)
 
 
+def test_sweep_refuses_more_than_max_starts_before_drawing(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("starts drawn past MAX_STARTS")
+
+    sched = tmp_path / "sched.json"
+    demo = bld.demo_adiabatic_schedule()
+    sched.write_text(gd.serialize_schedule(
+        bld.AdiabaticSchedule(demo.h_initial, demo.h_final, (0.0,), 1.0)) + "\n")
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--input", sched, "--out", out, "--starts"]
+    monkeypatch.setattr(bld, "_random_starts", refuse)
+    capsys.readouterr()
+    assert run(*argv, quantum.MAX_STARTS + 1) == 1
+    assert capsys.readouterr().err == (f"error: starts_per_s must be <= {quantum.MAX_STARTS}, "
+                                       f"got {quantum.MAX_STARTS + 1}\n")
+    assert not out.exists()
+    monkeypatch.undo()
+    assert run(*argv, quantum.MAX_STARTS) == 0
+    assert len(out.read_text().splitlines()) == 1 + quantum.MAX_STARTS
+
+
 # ---------------------------------------------------------- determinism ---
 
 def test_seeded_runs_are_byte_identical(tmp_path):

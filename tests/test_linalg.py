@@ -1,4 +1,8 @@
 """Core state/operator types and the projective metric."""
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -123,6 +127,21 @@ def test_validated_values_refuse_rebinding():
             with pytest.raises(AttributeError):
                 delattr(value, name)
             assert getattr(value, name) is before
+
+
+def test_validated_values_refuse_any_name_and_survive_copy_and_pickle():
+    for value in _validated_values():
+        for name in ("foo", "amplitudes", "__dict__"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and repr(twin) == repr(value)
+            for name in (n for cls in type(value).__mro__ for n in vars(cls).get("__slots__", ())):
+                assert pickle.dumps(getattr(twin, name)) == pickle.dumps(getattr(value, name))
+            with pytest.raises(FrozenInstanceError):
+                twin.foo = 1
 
 
 def test_validated_value_reprs_are_pinned():

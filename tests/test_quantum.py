@@ -456,6 +456,258 @@ def test_bundled_dynamics_match_the_validated_loop(seed):
         assert_matches_validated_loop(game, qq.random_play(game, seed))
 
 
+# ---------------------------------------------- stacked kernel and starts ---
+
+def scalar_slot_form(game, factors, i):
+    """The one-play slot form on 1-d factors, as it was before stacks."""
+    dims = game.dims
+    w = game.unitary.matrix.reshape((game.joint_dimension, *dims))
+    for j in reversed(range(len(dims))):
+        if j != i:
+            w = np.moveaxis(w, j + 1, -1) @ factors[j]
+    w = w.reshape(-1, dims[i])
+    spec = game.payoffs[i]
+    if isinstance(spec, qq.OverlapPayoff):
+        return (spec.target.amplitudes.conj() @ w).conj()
+    m = w.conj().T @ (spec.eigenvalues[:, None] * w)
+    return 0.5 * (m + m.conj().T)
+
+
+def scalar_slot_optimum(game, factors, i):
+    """The one-play optimum: canonical best response, attainable and current payoff."""
+    spec, f = game.payoffs[i], factors[i]
+    form = scalar_slot_form(game, factors, i)
+    if isinstance(spec, qq.OverlapPayoff):
+        attainable, current = np.linalg.norm(form), abs(np.vdot(form, f))
+        if attainable <= DEFAULT_TOLS.indifference:
+            return f, attainable, current
+        direction = form
+    else:
+        values, vectors = np.linalg.eigh(form)
+        attainable, current = values.max(), np.vdot(f, form @ f).real
+        direction = vectors[:, int(np.argmax(values >= attainable - DEFAULT_TOLS.eigenvalue_tie))]
+    return canonicalize_phase(direction).amplitudes, attainable, current
+
+
+def scalar_random_play(game, rng):
+    """One Haar state per player, each from its own draws."""
+    return ProductPlay([haar_random_state(d, rng) for d in game.dims])
+
+
+def random_game(dims, observable, rng):
+    joint = math.prod(dims)
+    specs = [
+        qq.ObservablePayoff(rng.standard_normal(joint)) if observable[i]
+        else qq.OverlapPayoff(haar_random_state(joint, rng))
+        for i in range(len(dims))
+    ]
+    return qq.QuantumGame(dims, haar_random_unitary(joint, rng), specs)
+
+
+KERNEL_DIMS = [(2, 2), (3, 2), (2, 3, 2), (4, 4), (16, 16)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KERNEL_DIMS),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_row_stack_is_the_one_play_kernel_bit_for_bit(dims, observable, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(dims, observable, rng)
+    factors = game.check_play(scalar_random_play(game, rng))
+    rows = [f[None] for f in factors]
+    for i in range(len(dims)):
+        form = qq._slot_form(game, rows, i)
+        assert form.shape == (1, *scalar_slot_form(game, factors, i).shape)
+        assert form[0].tobytes() == scalar_slot_form(game, factors, i).tobytes()
+        best, attainable, current = scalar_slot_optimum(game, factors, i)
+        _, got_attainable, got_current = qq._slot_optimum(game, rows, i)
+        assert qq._best_rows(game, rows, i)[0].tobytes() == best.tobytes()
+        assert (got_attainable[0], got_current[0]) == (attainable, current)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(KERNEL_DIMS),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_each_stack_row_is_the_one_row_kernel(dims, observable, k, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(dims, observable, rng)
+    stacks = qq._random_starts(game, k, rng)
+    for i in range(len(dims)):
+        form = qq._slot_form(game, stacks, i)
+        optimum = qq._slot_optimum(game, stacks, i)
+        best = qq._best_rows(game, stacks, i)
+        for r in range(k):
+            rows = [s[r:r + 1] for s in stacks]
+            one_form = qq._slot_form(game, rows, i)[0]
+            scale = max(1.0, np.abs(one_form).max())
+            assert np.abs(form[r] - one_form).max() <= 1e-15 * scale
+            for got, want in zip(optimum[1:], qq._slot_optimum(game, rows, i)[1:]):
+                assert abs(got[r] - want[0]) <= 1e-15 * scale
+            assert np.abs(best[r] - qq._best_rows(game, rows, i)[0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (4, 4)])
+def test_deviation_gains_are_the_one_play_gains_bit_for_bit(dims):
+    # 50 seeded games per shape, each player's payoff kind drawn at random
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        game = random_game(dims, rng.integers(0, 2, size=len(dims)).astype(bool), rng)
+        play = scalar_random_play(game, rng)
+        factors = game.check_play(play)
+        want = np.array([a - c for _, a, c in
+                         (scalar_slot_optimum(game, factors, i) for i in range(len(dims)))])
+        assert qq.quantum_deviation_gains(game, play).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (16, 16)])
+def test_outer_product_preparation_is_kron_bit_for_bit(dims):
+    from functools import reduce
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(20):
+        factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        assert reduce(qq._outer, factors).tobytes() == reduce(np.kron, factors).tobytes()
+        for i, d in enumerate(dims):
+            columns = [f[:, None] for f in factors]
+            columns[i] = rng.standard_normal((d, 7)) + 1j * rng.standard_normal((d, 7))
+            assert reduce(qq._outer, columns).tobytes() == reduce(np.kron, columns).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (16, 16)])
+def test_one_array_start_draw_is_per_start_random_plays(dims):
+    game = random_game(dims, [True] * len(dims), np.random.default_rng(1))
+    for seed in range(10):
+        stack_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacks = qq._random_starts(game, 6, stack_rng)
+        for r in range(6):
+            play = scalar_random_play(game, loop_rng)
+            for stack, factor in zip(stacks, play.factors):
+                assert stack[r].tobytes() == factor.amplitudes.tobytes()
+        assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert qq.random_play(game, seed) == scalar_random_play(game, np.random.default_rng(seed))
+
+
+def assert_matches_per_start_loop(game, num_starts, seed, max_iter=40):
+    outcomes = qq.multi_start_dynamics(game, num_starts, max_iter=max_iter, seed=seed)
+    rng = np.random.default_rng(seed)
+    assert len(outcomes) == num_starts
+    for out in outcomes:
+        status, iterations, period, cycle_start, trace, play = validated_dynamics(
+            game, scalar_random_play(game, rng), max_iter=max_iter)
+        assert (out.status, out.iterations, out.period, out.cycle_start) == (
+            status, iterations, period, cycle_start)
+        assert [r.sweep for r in out.trace] == [r.sweep for r in trace]
+        for got, want in zip(out.trace, trace):
+            assert abs(got.step_distance - want.step_distance) <= 1e-12
+            assert np.abs(np.subtract(got.payoffs, want.payoffs)).max() <= 1e-12
+        for got, want in zip(out.play.factors, play.factors):
+            assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (3, 2), (2, 3, 2), (4, 4)]),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_multi_start_dynamics_match_a_per_start_loop(dims, observable, seed):
+    game = random_game(dims, observable, np.random.default_rng(seed))
+    assert_matches_per_start_loop(game, 5, seed)
+
+
+def test_bundled_multi_start_dynamics_match_a_per_start_loop():
+    # converging (Bell), cycling (alignment, adiabatic interior) and indifferent
+    # (basis targets) starts finish at different sweeps and leave the stack apart
+    e00, e11 = np.eye(4)[0], np.eye(4)[3]
+    games = [
+        identity_game(e00, e11),
+        bell_state_preparation_demo(),
+        qq.alignment_demo_game(),
+        bld.build_adiabatic_game(bld.demo_adiabatic_schedule(), 0.5),
+        bld.build_grover_game(4, 0, (2, 2)),
+    ]
+    for seed, game in enumerate(games):
+        assert_matches_per_start_loop(game, 12, seed)
+    # a start that never settles runs to the iteration cap beside finished ones
+    assert_matches_per_start_loop(qq.alignment_demo_game(), 5, 3, max_iter=2)
+
+
+def test_a_start_on_the_orbit_is_no_revisit():
+    # the start is not a sweep: a play already on the period-2 orbit closes the
+    # cycle at sweep 3 against sweep 1, as the validated loop does, alone or stacked
+    game = qq.alignment_demo_game()
+    on_orbit = qq.iterated_best_response(game, seed=3).play
+    out = qq.iterated_best_response(game, on_orbit)
+    assert (out.status, out.iterations, out.period, out.cycle_start) == (
+        qq.DynamicsStatus.CYCLE_DETECTED, 3, 2, 1)
+    assert_matches_validated_loop(game, on_orbit)
+    stacks = [np.stack([f.amplitudes, f.amplitudes]) for f in on_orbit.factors]
+    runs = qq._dynamics(game, stacks, tol=1e-9, max_iter=40, trace=False)
+    assert [(r.iterations, r.period, r.cycle_start) for r in runs] == [(3, 2, 1)] * 2
+
+
+def test_stack_size_bounds_the_slot_form_intermediate():
+    # joint**2 / min(dims) entries per start: the lopsided (2, 2048) game `build --kind
+    # grover --n-qubits 12 --split 1,11` emits runs one start at a time, (64, 64) 16 at once
+    assert qq._stack_size((2, 2048)) == 1
+    assert qq._stack_size((64, 64)) == 16
+    assert qq._stack_size((32, 32)) == qq.MAX_STARTS
+    assert qq._stack_size((2, 2)) > qq.MAX_STARTS
+    for dims in [(64, 64), (32, 32), (2, 1024), (2, 2, 2)]:
+        per_start = math.prod(dims) ** 2 // min(dims)
+        assert qq._stack_size(dims) * per_start <= qq.STACK_ENTRIES
+
+
+def test_starts_run_in_bounded_stacks_bit_for_bit(monkeypatch):
+    # a budget of three starts' slot forms splits 8 starts into stacks of 3, 3 and 2;
+    # every outcome keeps the bits of the one-stack run, except trace payoffs: they
+    # come from one matrix product per stack, whose rounding depends on its width
+    game = random_game((2, 16), (True, False, False), np.random.default_rng(5))
+    whole = qq.multi_start_dynamics(game, 8, max_iter=60, seed=5)
+    per_start = 32 ** 2 // 2
+    monkeypatch.setattr(qq, "STACK_ENTRIES", 3 * per_start + 1)
+    sizes = []
+    slot_form = qq._slot_form
+
+    def recording(game, factors, i):
+        sizes.append(len(factors[1 - i]))
+        return slot_form(game, factors, i)
+
+    monkeypatch.setattr(qq, "_slot_form", recording)
+    split = qq.multi_start_dynamics(game, 8, max_iter=60, seed=5)
+    assert max(sizes) * per_start <= qq.STACK_ENTRIES
+    assert sizes.count(3) >= 4 and sizes[0] == 3 and 2 in sizes
+    for a, b in zip(whole, split, strict=True):
+        assert (a.status, a.iterations, a.period, a.cycle_start) == (
+            b.status, b.iterations, b.period, b.cycle_start)
+        assert [(r.sweep, r.step_distance) for r in a.trace] == [
+            (r.sweep, r.step_distance) for r in b.trace]
+        for r, t in zip(a.trace, b.trace):
+            assert np.abs(np.subtract(r.payoffs, t.payoffs)).max() <= 1e-12
+        for f, g in zip(a.play.factors, b.play.factors):
+            assert np.array_equal(f.amplitudes, g.amplitudes)
+
+
+def test_multi_start_dynamics_refuse_a_bad_start_count_before_drawing(monkeypatch):
+    monkeypatch.setattr(qq, "_random_starts", _refuse)
+    game = bell_state_preparation_demo()
+    for count in (-1, qq.MAX_STARTS + 1):
+        with pytest.raises(ValueError, match=f"^num_starts must be 0 to {qq.MAX_STARTS}, "
+                                             f"got {count}$"):
+            qq.multi_start_dynamics(game, count)
+    monkeypatch.undo()
+    assert qq.multi_start_dynamics(game, 0) == []
+    outcomes = qq.multi_start_dynamics(game, qq.MAX_STARTS, tol=1e-7, seed=11)
+    assert len(outcomes) == qq.MAX_STARTS
+    assert sum(o.converged for o in outcomes) >= qq.MAX_STARTS - 1
+
+
 # ------------------------------------------------- fixed-point extraction ---
 
 def test_fixed_point_candidates_are_equilibria():
