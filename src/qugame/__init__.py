@@ -12,12 +12,10 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
-    apply_unitary,
     canonicalize_phase,
     fubini_study_distance,
     haar_random_state,
     haar_random_unitary,
-    inner_product,
     matrix_exponential_unitary,
     partial_contraction,
     tensor_product,
@@ -59,13 +57,10 @@ from .quantum import (
     iterated_best_response,
     multi_start_dynamics,
     observable_nonlinearity_witness,
-    observable_payoff,
     overlap_contraction,
     overlap_fixed_point_candidates,
-    overlap_payoff,
     play_distance,
     payoff,
-    prepared_state,
     prepared_vector,
     quantum_deviation_gains,
     random_play,

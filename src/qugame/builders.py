@@ -19,6 +19,7 @@ from .linalg import (
     PureState,
     UnitaryOperator,
     _fixed_phase,
+    _haar_rows,
     as_rng,
     canonicalize_phase,
     matrix_exponential_unitary,
@@ -32,7 +33,6 @@ from .quantum import (
     _dynamics,
     _factor_distances,
     _payoff_of,
-    _random_starts,
     overlap_fixed_point_candidates,
     prepared_vector,
     verify_epsilon_nash_quantum,
@@ -223,6 +223,15 @@ class SweepReport:
         return len(self.rows)
 
 
+def _check_sweep_args(starts_per_s: int, tol: float, max_iter: int, epsilon: float) -> None:
+    if starts_per_s < 1:
+        raise ValueError(f"starts_per_s must be >= 1, got {starts_per_s!r}")
+    if starts_per_s > MAX_STARTS:   # before any start is drawn
+        raise ValueError(f"starts_per_s must be <= {MAX_STARTS}, got {starts_per_s!r}")
+    _check_dynamics_args(tol, max_iter)
+    check_threshold("epsilon", epsilon)
+
+
 def sweep_adiabatic(
     schedule: AdiabaticSchedule,
     starts_per_s: int,
@@ -251,12 +260,7 @@ def sweep_adiabatic(
     candidate's certificate is the row's, so a row is verified once unless its
     candidate fails (this and the start order changed seeded rows on purpose).
     """
-    if starts_per_s < 1:
-        raise ValueError("need at least one start per dial value")
-    if starts_per_s > MAX_STARTS:   # before any start is drawn
-        raise ValueError(f"starts_per_s must be <= {MAX_STARTS}, got {starts_per_s!r}")
-    _check_dynamics_args(tol, max_iter)
-    check_threshold("epsilon", epsilon)
+    _check_sweep_args(starts_per_s, tol, max_iter, epsilon)
     rng = as_rng(seed)
     ground = ground_state(schedule.h_final)
     targets = (ground, complement_superposition(schedule.h_final))   # schedule-invariant
@@ -264,9 +268,10 @@ def sweep_adiabatic(
     converged = verified = 0
     for s in schedule.s_values:
         game = build_adiabatic_game(schedule, s, targets)
-        candidates = overlap_fixed_point_candidates(game)
-        starts = _random_starts(game, starts_per_s, rng)
+        starts = _haar_rows(game.dims, starts_per_s, rng)
         runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=False)
+        cycled = any(run.status is DynamicsStatus.CYCLE_DETECTED for run in runs)
+        candidates = overlap_fixed_point_candidates(game) if cycled else []   # draws nothing
         for start_id, run in enumerate(runs):
             final, label, cert = run.factors, run.status.value, None
             if run.status is DynamicsStatus.CYCLE_DETECTED and candidates:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import builders, classical, config, gamedoc, geometry, quantum
+from . import builders, classical, config, gamedoc, geometry, linalg, quantum
 
 __all__ = ["run_cli", "main"]
 
@@ -80,6 +80,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    quantum._check_dynamics_args(args.tol, args.max_iter)
     game = gamedoc.parse_game(_read(args.input))
     if not isinstance(game, quantum.QuantumGame):
         raise gamedoc.DocumentError("kind", "dynamics runs on quantum games")
@@ -192,6 +193,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    builders._check_sweep_args(args.starts, args.tol, args.max_iter, args.epsilon)
     schedule = gamedoc.parse_schedule(_read(args.input))
     report = builders.sweep_adiabatic(
         schedule,
@@ -292,6 +294,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code) if exc.code is not None else 2
     try:
+        if "seed" in args:   # dynamics, verify, geometry, sweep: checked before any input is read
+            args.seed = linalg.as_rng(args.seed)
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* state vectors are 1-d complex arrays; the inner product conjugates its
-  first argument, so ``inner_product(a, b)`` is linear in ``b``;
+* state vectors are 1-d complex arrays; an inner product conjugates its
+  first argument, as ``np.vdot(a, b)`` does, so it is linear in ``b``;
 * a projective state is represented by its canonical unit-norm vector, whose
   first amplitude of modulus above the phase cutoff is real and positive;
 * all randomness is drawn from an explicitly seeded numpy generator.
@@ -24,9 +24,7 @@ __all__ = [
     "UnitaryOperator",
     "HermitianOperator",
     "ProductPlay",
-    "inner_product",
     "tensor_product",
-    "apply_unitary",
     "partial_contraction",
     "fubini_study_distance",
     "matrix_exponential_unitary",
@@ -41,6 +39,8 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Coerce a seed (or an existing generator) into a numpy Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:   # numpy's error names no field
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -209,12 +209,6 @@ class ProductPlay:
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dimension for f in self.factors)
 
-    def replace(self, i: int, state: PureState) -> "ProductPlay":
-        """New play with factor ``i`` swapped out."""
-        factors = list(self.factors)
-        factors[i] = state if isinstance(state, PureState) else PureState(state)
-        return ProductPlay(factors)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProductPlay):
             return NotImplemented
@@ -228,12 +222,11 @@ class ProductPlay:
         return f"ProductPlay(dims={self.dims})"
 
 
-def inner_product(a, b) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    av, bv = _as_vector(a), _as_vector(b)
-    if av.size != bv.size:
-        raise ValueError(f"dimension mismatch: {av.size} vs {bv.size}")
-    return complex(np.vdot(av, bv))
+def _outer(a, b) -> np.ndarray:
+    """``np.kron`` of two vectors, or of each column pair of two column stacks
+    (a one-column stack broadcasts), as one outer product: the same products."""
+    product = np.asarray(a)[:, None] * np.asarray(b)[None]
+    return product.reshape(-1, *product.shape[2:])
 
 
 def tensor_product(factors: Sequence) -> np.ndarray:
@@ -241,16 +234,7 @@ def tensor_product(factors: Sequence) -> np.ndarray:
     arrs = [_as_vector(f) for f in factors]
     if not arrs:
         raise ValueError("tensor product of an empty sequence is undefined")
-    return reduce(np.kron, arrs)
-
-
-def apply_unitary(u: UnitaryOperator | np.ndarray, v) -> np.ndarray:
-    """Apply a unitary to a state vector."""
-    m = u.matrix if isinstance(u, UnitaryOperator) else UnitaryOperator(u).matrix
-    vec = _as_vector(v)
-    if m.shape[1] != vec.size:
-        raise ValueError(f"dimension mismatch: operator {m.shape[0]} vs state {vec.size}")
-    return m @ vec
+    return reduce(_outer, arrs)
 
 
 def partial_contraction(target, play: ProductPlay, i: int) -> np.ndarray:
@@ -258,7 +242,7 @@ def partial_contraction(target, play: ProductPlay, i: int) -> np.ndarray:
 
     Returns the vector ``v`` satisfying, for every state ``q`` of player ``i``,
 
-        inner_product(target, tensor_with_slot_i_replaced_by(q)) == inner_product(v, q)
+        np.vdot(target, tensor_with_slot_i_replaced_by(q)) == np.vdot(v, q)
 
     ``v`` is not normalized and may be (numerically) zero.
     """
@@ -323,9 +307,7 @@ def haar_random_state(dimension: int, seed: int | np.random.Generator | None) ->
     """Haar-distributed pure state: normalized complex Gaussian vector."""
     if dimension < 2:
         raise ValueError("a qudit state needs dimension >= 2")
-    rng = as_rng(seed)
-    z = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
-    return canonicalize_phase(z)
+    return PureState(_haar_rows((dimension,), 1, as_rng(seed))[0][0])
 
 
 def _unit_rows(z: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -343,12 +325,17 @@ def _unit_rows(z: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _haar_rows(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar states as rows, bit for bit ``count`` :func:`haar_random_state`
-    calls and their rng stream."""
-    draw = rng.standard_normal((count, 2, dimension))
-    z = draw[:, 0] + 1j * draw[:, 1]
-    return _unit_rows(z, _row_norms(z))
+def _haar_rows(dims: Sequence[int], count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``count`` rounds of one Haar state per entry of ``dims``, as one ``(count, d)``
+    stack of canonical rows per entry, from one ``(count, sum 2 d)`` normal draw (each
+    state's real parts, then its imaginary parts): the package's only Haar state drawer."""
+    draw = rng.standard_normal((count, 2 * sum(dims)))
+    stacks, at = [], 0
+    for d in dims:
+        z = draw[:, at:at + d] + 1j * draw[:, at + d:at + 2 * d]
+        stacks.append(_unit_rows(z, _row_norms(z)))
+        at += 2 * d
+    return stacks
 
 
 def haar_random_unitary(dimension: int, seed: int | np.random.Generator | None) -> UnitaryOperator:

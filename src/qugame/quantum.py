@@ -35,6 +35,7 @@ from .linalg import (
     UnitaryOperator,
     _frozen,
     _haar_rows,
+    _outer,
     _projective_distances,
     _row_norms,
     _unit_rows,
@@ -53,9 +54,6 @@ __all__ = [
     "GridSearchReport",
     "NonlinearityWitness",
     "prepared_vector",
-    "prepared_state",
-    "overlap_payoff",
-    "observable_payoff",
     "payoff",
     "overlap_contraction",
     "effective_observable",
@@ -159,13 +157,6 @@ class QuantumGame:
         return f"QuantumGame(dims={self.dims}, payoffs=[{kinds}])"
 
 
-def _outer(a, b) -> np.ndarray:
-    """``np.kron`` of two vectors, or of each column pair of two column stacks
-    (a one-column stack broadcasts), as one outer product: the same products."""
-    product = np.asarray(a)[:, None] * np.asarray(b)[None]
-    return product.reshape(-1, *product.shape[2:])
-
-
 def prepared_vector(game: QuantumGame, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Game unitary applied to the tensor product of raw slot vectors, or to one
     joint column per column of ``(dims[j], k)`` stacks (``(dims[j], 1)`` broadcasts).
@@ -196,11 +187,6 @@ def _spec_of(game: QuantumGame, i: int, kind: type) -> PayoffSpec:
     return spec
 
 
-def prepared_state(game: QuantumGame, play: ProductPlay) -> PureState:
-    """Canonical representative of the prepared joint state."""
-    return canonicalize_phase(prepared_vector(game, game.check_play(play)))
-
-
 def _payoff_of(spec: PayoffSpec, prepared: np.ndarray):
     """One payoff read off a prepared vector (overlaps as np.vdot), or one per stack column."""
     if isinstance(spec, OverlapPayoff):
@@ -208,24 +194,9 @@ def _payoff_of(spec: PayoffSpec, prepared: np.ndarray):
     return spec.eigenvalues @ np.abs(prepared) ** 2
 
 
-def overlap_payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
-    """Complex overlap of player ``i``'s target with the prepared play.
-
-    Computed on the raw prepared vector, so it is exactly linear in each
-    player's slot vector; the factors' canonical phases pin the value.
-    """
-    spec = _spec_of(game, i, OverlapPayoff)
-    return complex(_payoff_of(spec, prepared_vector(game, game.check_play(play))))
-
-
-def observable_payoff(game: QuantumGame, play: ProductPlay, i: int) -> float:
-    """Expected value of player ``i``'s basis-diagonal observable on the play."""
-    spec = _spec_of(game, i, ObservablePayoff)
-    return float(_payoff_of(spec, prepared_vector(game, game.check_play(play))))
-
-
 def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
-    """Player ``i``'s payoff as a complex number regardless of payoff kind."""
+    """Player ``i``'s payoff as a complex number, whatever the payoff kind: the target's
+    overlap with the prepared vector (linear in each slot), or the observable's value."""
     return complex(_payoff_of(game.payoffs[i], prepared_vector(game, game.check_play(play))))
 
 
@@ -300,14 +271,14 @@ def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
 
 
 def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Vector ``v`` with overlap_payoff == inner_product(v, q) for slot states q,
+    """Vector ``v`` with ``payoff == np.vdot(v, q)`` when player ``i`` plays slot state q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, OverlapPayoff)
     return _slot_form(game, _play_rows(game, play), i)[0]
 
 
 def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
-    """Hermitian matrix M with observable_payoff == <q, M q> for slot states q,
+    """Hermitian matrix M with ``payoff == <q, M q>`` when player ``i`` plays slot state q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, ObservablePayoff)
     return _slot_form(game, _play_rows(game, play), i)[0]
@@ -368,22 +339,9 @@ class DynamicsOutcome:
         return self.status is DynamicsStatus.CONVERGED
 
 
-def _random_starts(game: QuantumGame, count: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``count`` Haar-random plays as one ``(count, dims[i])`` factor stack per player,
-    drawn as one ``(count, sum 2 dims[i])`` array: bit for bit ``count`` rounds of
-    one :func:`~qugame.linalg.haar_random_state` per player, and their rng stream."""
-    draw = rng.standard_normal((count, 2 * sum(game.dims)))
-    stacks, at = [], 0
-    for d in game.dims:
-        z = draw[:, at:at + d] + 1j * draw[:, at + d:at + 2 * d]
-        stacks.append(_unit_rows(z, _row_norms(z)))
-        at += 2 * d
-    return stacks
-
-
 def random_play(game: QuantumGame, seed: int | np.random.Generator | None) -> ProductPlay:
     """Independent Haar-random factor per player."""
-    return ProductPlay([stack[0] for stack in _random_starts(game, 1, as_rng(seed))])
+    return ProductPlay([stack[0] for stack in _haar_rows(game.dims, 1, as_rng(seed))])
 
 
 def _factor_distances(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
@@ -535,7 +493,7 @@ def iterated_best_response(
     if start is not None:
         rows = _play_rows(game, start)
     else:
-        rows = _random_starts(game, 1, as_rng(seed))
+        rows = _haar_rows(game.dims, 1, as_rng(seed))
     (run,) = _dynamics(game, rows, tol=tol, max_iter=max_iter, trace=True)
     return run.outcome()
 
@@ -553,7 +511,7 @@ def multi_start_dynamics(
     if not 0 <= num_starts <= MAX_STARTS:   # before any start is drawn
         raise ValueError(f"num_starts must be 0 to {MAX_STARTS}, got {num_starts!r}")
     _check_dynamics_args(tol, max_iter)
-    starts = _random_starts(game, num_starts, as_rng(seed))
+    starts = _haar_rows(game.dims, num_starts, as_rng(seed))
     runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=True)
     return [run.outcome() for run in runs]
 
@@ -659,7 +617,7 @@ def verify_epsilon_nash_quantum(
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
     for i, spec in enumerate(game.payoffs if num_probes else ()):
-        probes = _haar_rows(game.dims[i], num_probes, rng)
+        (probes,) = _haar_rows((game.dims[i],), num_probes, rng)
         columns = [f[:, None] for f in factors]
         columns[i] = np.vstack([factors[i], probes]).T  # column 0: the play
         values = _payoff_of(spec, prepared_vector(game, columns))  # one payoff per column

@@ -198,7 +198,7 @@ def test_sweep_refuses_more_than_max_starts_before_any_draw(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("starts drawn past MAX_STARTS")
 
-    monkeypatch.setattr(bld, "_random_starts", refuse)
+    monkeypatch.setattr(bld, "_haar_rows", refuse)
     monkeypatch.setattr(bld, "build_adiabatic_game", refuse)
     too_many = qq.MAX_STARTS + 1
     message = f"^starts_per_s must be <= {qq.MAX_STARTS}, got {too_many}$"
@@ -252,6 +252,29 @@ def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
     counted("prepared_vector")
     report = bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, seed=17)
     assert calls == {"complement_superposition": 1, "prepared_vector": report.num_rows}
+
+
+def test_sweep_builds_fixed_point_candidates_only_where_a_start_cycled(monkeypatch):
+    # the endpoints converge, so only the interior dial values need candidates
+    built = []
+    real = bld.overlap_fixed_point_candidates
+
+    def counting(game):
+        built.append(game)
+        return real(game)
+
+    monkeypatch.setattr(bld, "overlap_fixed_point_candidates", counting)
+    sched = bld.demo_adiabatic_schedule()
+    report = bld.sweep_adiabatic(sched, 2, seed=17)
+    cycled = {row.s for row in report.rows if row.outcome.startswith("cycle")}
+    assert len(built) == len(cycled) < len(sched.s_values)
+    converged = {row.s for row in report.rows if row.outcome == "converged"}
+    assert converged and not converged & cycled
+
+
+def test_sweep_refuses_a_bad_start_count_by_name():
+    with pytest.raises(ValueError, match="^starts_per_s must be >= 1, got 0$"):
+        bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 0)
 
 
 def test_sweep_draws_a_dial_values_starts_before_its_probes(monkeypatch):

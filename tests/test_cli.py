@@ -541,6 +541,32 @@ def test_bad_thresholds_exit_1_naming_the_parameter(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, name",
+    [
+        ("dynamics", "--tol", "nan", "tol"),
+        ("dynamics", "--max-iter", 0, "max_iter"),
+        ("dynamics", "--seed", -1, "seed"),
+        ("sweep", "--tol", "nan", "tol"),
+        ("sweep", "--max-iter", 0, "max_iter"),
+        ("sweep", "--starts", 0, "starts_per_s"),
+        ("sweep", "--starts", quantum.MAX_STARTS + 1, "starts_per_s"),
+        ("sweep", "--epsilon", "inf", "epsilon"),
+        ("sweep", "--seed", -1, "seed"),
+        ("verify", "--seed", -1, "seed"),
+        ("geometry", "--seed", -1, "seed"),
+    ],
+)
+def test_bad_flags_exit_1_before_the_input_is_read(tmp_path, capsys, command, flag, value, name):
+    # the input does not exist: reading it first would report a missing file instead
+    out = tmp_path / "out.json"
+    missing = tmp_path / "missing.json"
+    play = ["--play", missing] if command == "verify" else []
+    assert run(command, "--input", missing, *play, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be")
+    assert not out.exists()
+
+
 def test_verify_refuses_more_than_max_probes_before_drawing(tmp_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("probes drawn past MAX_PROBES")
@@ -598,7 +624,7 @@ def test_sweep_refuses_more_than_max_starts_before_drawing(tmp_path, monkeypatch
         bld.AdiabaticSchedule(demo.h_initial, demo.h_final, (0.0,), 1.0)) + "\n")
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--input", sched, "--out", out, "--starts"]
-    monkeypatch.setattr(bld, "_random_starts", refuse)
+    monkeypatch.setattr(bld, "_haar_rows", refuse)
     capsys.readouterr()
     assert run(*argv, quantum.MAX_STARTS + 1) == 1
     assert capsys.readouterr().err == (f"error: starts_per_s must be <= {quantum.MAX_STARTS}, "

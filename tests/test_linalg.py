@@ -18,13 +18,11 @@ from qugame.linalg import (
     PureState,
     UnitaryOperator,
     _haar_rows,
-    apply_unitary,
     as_rng,
     canonicalize_phase,
     fubini_study_distance,
     haar_random_state,
     haar_random_unitary,
-    inner_product,
     matrix_exponential_unitary,
     partial_contraction,
     tensor_product,
@@ -94,8 +92,9 @@ def test_product_play_needs_two_factors():
 
 
 def test_product_play_replace():
+    # a swapped factor means a new play; raw amplitudes are validated like states
     play = ProductPlay((PureState([1, 0]), PureState([0, 1])))
-    swapped = play.replace(0, PureState([0, 1]))
+    swapped = ProductPlay(([0, 1j], *play.factors[1:]))
     assert swapped.factors[0] == PureState([0, 1])
     # original untouched
     assert play.factors[0] == PureState([1, 0])
@@ -209,22 +208,8 @@ def test_tensor_product_matches_kron():
     a = haar_random_state(2, rng).amplitudes
     b = haar_random_state(3, rng).amplitudes
     c = haar_random_state(2, rng).amplitudes
-    assert_allclose(tensor_product([a, b]), np.kron(a, b), atol=1e-15)
-    assert_allclose(tensor_product([a, b, c]), np.kron(np.kron(a, b), c), atol=1e-15)
-
-
-def test_inner_product_matches_vdot():
-    rng = np.random.default_rng(1)
-    a = haar_random_state(4, rng)
-    b = haar_random_state(4, rng)
-    assert inner_product(a, b) == pytest.approx(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def test_apply_unitary_is_matrix_action():
-    rng = np.random.default_rng(2)
-    u = haar_random_unitary(4, rng)
-    v = haar_random_state(4, rng).amplitudes
-    assert_allclose(apply_unitary(u, v), u.matrix @ v, atol=1e-15)
+    assert tensor_product([a, b]).tobytes() == np.kron(a, b).tobytes()
+    assert tensor_product([a, b, c]).tobytes() == np.kron(np.kron(a, b), c).tobytes()
 
 
 def test_partial_contraction_payoff_identity():
@@ -323,28 +308,53 @@ def test_haar_state_and_unitary_are_seeded():
     assert_allclose(u1.matrix.conj().T @ u1.matrix, np.eye(3), atol=1e-12)
 
 
+def _scalar_haar_state(dimension, rng):
+    """The one-vector drawer that _haar_rows replaced: two draws, canonicalized."""
+    z = rng.standard_normal(dimension) + 1j * rng.standard_normal(dimension)
+    return canonicalize_phase(z).amplitudes
+
+
 @pytest.mark.parametrize("dimension", [2, 3, 4, 16, 32])
 def test_haar_rows_repeat_haar_random_state_bit_for_bit(dimension):
     for seed in range(20):
-        rows_rng = np.random.default_rng(seed)
-        loop_rng = np.random.default_rng(seed)
-        rows = _haar_rows(dimension, 9, rows_rng)
+        rows_rng, loop_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
+        (rows,) = _haar_rows((dimension,), 9, rows_rng)
         loop = np.array([haar_random_state(dimension, loop_rng).amplitudes for _ in range(9)])
-        assert rows.tobytes() == loop.tobytes()
-        assert rows_rng.bit_generator.state == loop_rng.bit_generator.state
+        scalar = np.array([_scalar_haar_state(dimension, scalar_rng) for _ in range(9)])
+        assert rows.tobytes() == loop.tobytes() == scalar.tobytes()
+        assert (rows_rng.bit_generator.state == loop_rng.bit_generator.state
+                == scalar_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2)])
+def test_haar_rows_lay_out_rounds_of_per_entry_haar_states(dims):
+    # one stack per entry of dims; row r holds round r's state for that entry
+    # (one-entry dims are the test above)
+    for seed in range(20):
+        rows_rng, loop_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
+        stacks = _haar_rows(dims, 7, rows_rng)
+        assert [s.shape for s in stacks] == [(7, d) for d in dims]
+        loop = [[haar_random_state(d, loop_rng).amplitudes for d in dims] for _ in range(7)]
+        scalar = [[_scalar_haar_state(d, scalar_rng) for d in dims] for _ in range(7)]
+        for k, stack in enumerate(stacks):
+            assert stack.tobytes() == np.array([r[k] for r in loop]).tobytes()
+            assert stack.tobytes() == np.array([r[k] for r in scalar]).tobytes()
+        assert (rows_rng.bit_generator.state == loop_rng.bit_generator.state
+                == scalar_rng.bit_generator.state)
 
 
 def test_haar_rows_keep_the_scalar_rule_for_a_tiny_or_real_pivot():
     class Stub:   # a generator whose draw puts a zero and a real pivot first
         def standard_normal(self, shape):
             draw = np.random.default_rng(3).standard_normal(shape)
-            draw[0, :, 0] = 0.0
-            draw[1, 1, 0] = 0.0
+            draw[0, [0, 3]] = 0.0     # row 0: real and imaginary part of entry 0
+            draw[1, 3] = 0.0          # row 1: imaginary part of entry 0
             return draw
 
-    rows = _haar_rows(3, 4, Stub())
-    draw = Stub().standard_normal((4, 2, 3))
-    for row, (re, im) in zip(rows, draw):
+    (rows,) = _haar_rows((3,), 4, Stub())
+    draw = Stub().standard_normal((4, 6))
+    for row, values in zip(rows, draw):
+        re, im = values[:3], values[3:]
         assert row.tobytes() == canonicalize_phase(re + 1j * im).amplitudes.tobytes()
     assert rows[0, 0] == 0 and rows[0, 1].imag == 0 and rows[1, 0].imag == 0
 
@@ -354,6 +364,12 @@ def test_as_rng_passthrough():
     assert as_rng(gen) is gen
     assert isinstance(as_rng(5), np.random.Generator)
     assert isinstance(as_rng(None), np.random.Generator)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+def test_as_rng_refuses_a_negative_seed_by_name(seed):
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -\d+$"):
+        as_rng(seed)
 
 
 @settings(max_examples=200, deadline=None)

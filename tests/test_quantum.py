@@ -1,6 +1,7 @@
 """Quantum games: payoffs, best responses, dynamics, verification, grids."""
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from qugame.geometry import bloch_embedding
 from qugame.linalg import (
     ProductPlay,
     PureState,
+    _haar_rows,
+    _outer,
     canonicalize_phase,
     fubini_study_distance,
     haar_random_state,
     haar_random_unitary,
-    inner_product,
     partial_contraction,
 )
 
@@ -31,15 +33,22 @@ def identity_game(target1, target2):
     return build_state_preparation_game((2, 2), np.eye(4), (target1, target2))
 
 
+def swap(play, i, state):
+    """The play with factor ``i`` replaced by ``state``."""
+    factors = list(play.factors)
+    factors[i] = state
+    return ProductPlay(factors)
+
+
 # --------------------------------------------------------------- payoffs ---
 
 def test_prepared_state_is_unitary_on_product():
     game = bell_state_preparation_demo()
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
-    prepared = qq.prepared_state(game, play)
+    prepared = qq.prepared_vector(game, game.check_play(play))
     ref = game.unitary.matrix @ np.kron([1, 0], [1, 0])
-    assert_allclose(prepared.amplitudes, ref, atol=1e-15)
-    assert_allclose(np.linalg.norm(prepared.amplitudes), 1.0, atol=1e-14)
+    assert_allclose(prepared, ref, atol=1e-15)
+    assert_allclose(np.linalg.norm(prepared), 1.0, atol=1e-14)
 
 
 def test_prepared_vector_refuses_bad_factors_and_prepares_column_stacks():
@@ -95,9 +104,10 @@ def test_observable_payoff_matches_manual_sum():
     e = np.array([0.3, -0.2, 1.1, 0.4])
     game = qq.QuantumGame((2, 2), u, (qq.ObservablePayoff(e), qq.ObservablePayoff(-e)))
     play = qq.random_play(game, rng)
-    amps = qq.prepared_state(game, play).amplitudes
+    amps = qq.prepared_vector(game, game.check_play(play))
     ref = float(np.sum(e * np.abs(amps) ** 2))
-    assert qq.observable_payoff(game, play, 0) == pytest.approx(ref, abs=1e-12)
+    assert qq.payoff(game, play, 0).imag == 0.0
+    assert qq.payoff(game, play, 0).real == pytest.approx(ref, abs=1e-12)
     assert qq.payoff(game, play, 1) == pytest.approx(-ref, abs=1e-12)
 
 
@@ -110,7 +120,7 @@ def test_overlap_contraction_reproduces_payoff():
     for i in range(2):
         v = qq.overlap_contraction(game, play, i)
         assert np.vdot(v, play.factors[i].amplitudes) == pytest.approx(
-            qq.overlap_payoff(game, play, i), abs=1e-13
+            qq.payoff(game, play, i), abs=1e-13
         )
 
 
@@ -145,7 +155,7 @@ def test_effective_observable_quadratic_form():
         assert_allclose(m, m.conj().T, atol=1e-13)
         f = play.factors[i].amplitudes
         assert np.vdot(f, m @ f).real == pytest.approx(
-            qq.observable_payoff(game, play, i), abs=1e-12
+            qq.payoff(game, play, i).real, abs=1e-12
         )
 
 
@@ -187,17 +197,17 @@ def test_slot_kernels_match_joint_space_oracles(dims, seed):
     play = qq.random_play(observable, rng)
     for i in range(len(dims)):
         q = haar_random_state(dims[i], rng)
-        deviated = play.replace(i, q)
+        deviated = swap(play, i, q)
         m = qq.effective_observable(observable, play, i)
         assert_allclose(m, joint_operator_contraction(observable, play, i), rtol=0, atol=1e-12)
         assert np.vdot(q.amplitudes, m @ q.amplitudes).real == pytest.approx(
-            qq.observable_payoff(observable, deviated, i), abs=1e-12
+            qq.payoff(observable, deviated, i).real, abs=1e-12
         )
         v = qq.overlap_contraction(overlap, play, i)
         pulled_back = u.matrix.conj().T @ overlap.payoffs[i].target.amplitudes
         assert_allclose(v, partial_contraction(pulled_back, play, i), rtol=0, atol=1e-12)
-        assert inner_product(v, q) == pytest.approx(
-            qq.overlap_payoff(overlap, deviated, i), abs=1e-12
+        assert np.vdot(v, q.amplitudes) == pytest.approx(
+            qq.payoff(overlap, deviated, i), abs=1e-12
         )
 
 
@@ -211,12 +221,12 @@ def test_best_response_overlap_attains_contraction_norm():
     play = qq.random_play(game, rng)
     v = qq.overlap_contraction(game, play, 0)
     br = qq.best_response_overlap(game, play, 0)
-    attained = abs(qq.overlap_payoff(game, play.replace(0, br), 0))
+    attained = abs(qq.payoff(game, swap(play, 0, br), 0))
     assert attained == pytest.approx(np.linalg.norm(v), abs=1e-12)
     # no unit deviation can beat the contraction norm (Cauchy-Schwarz)
     for _ in range(200):
         dev = haar_random_state(2, rng)
-        val = abs(qq.overlap_payoff(game, play.replace(0, dev), 0))
+        val = abs(qq.payoff(game, swap(play, 0, dev), 0))
         assert val <= attained + 1e-12
 
 
@@ -225,7 +235,7 @@ def test_best_response_overlap_bell_example():
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
     br = qq.best_response_overlap(game, play, 0)
     assert br == PureState([1, 0])
-    after = abs(qq.overlap_payoff(game, play.replace(0, br), 0))
+    after = abs(qq.payoff(game, swap(play, 0, br), 0))
     assert after == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
@@ -248,10 +258,10 @@ def test_best_response_observable_dominates_random_deviations():
     )
     play = qq.random_play(game, rng)
     br = qq.best_response_observable(game, play, 0)
-    best_val = qq.observable_payoff(game, play.replace(0, br), 0)
+    best_val = qq.payoff(game, swap(play, 0, br), 0).real
     for _ in range(500):
         dev = haar_random_state(2, rng)
-        assert qq.observable_payoff(game, play.replace(0, dev), 0) <= best_val + 1e-12
+        assert qq.payoff(game, swap(play, 0, dev), 0).real <= best_val + 1e-12
 
 
 # ---------------------------------------------------------------- dynamics ---
@@ -314,8 +324,8 @@ def test_conflicting_targets_one_sided_win():
         out = qq.iterated_best_response(game, start, tol=1e-9, max_iter=50)
         assert out.status is qq.DynamicsStatus.CONVERGED
         assert out.iterations == 2
-        p1 = qq.overlap_payoff(game, out.play, 0)
-        p2 = qq.overlap_payoff(game, out.play, 1)
+        p1 = qq.payoff(game, out.play, 0)
+        p2 = qq.payoff(game, out.play, 1)
         assert abs(p2) == 0.0
         # the winner's score is the part of the loser's start already in place
         assert abs(p1) == pytest.approx(abs(start.factors[1].amplitudes[0]), abs=1e-12)
@@ -376,7 +386,7 @@ def validated_play_distance(a, b):
 
 
 def validated_dynamics(game, play, tol=1e-9, max_iter=40):
-    """Round-robin dynamics stepping ProductPlay objects: play.replace per best
+    """Round-robin dynamics stepping ProductPlay objects: one swapped play per best
     response, a per-factor state distance per sweep and per revisit, payoff per
     trace entry.
     Returns (status, iterations, period, cycle_start, trace, final play)."""
@@ -384,7 +394,7 @@ def validated_dynamics(game, play, tol=1e-9, max_iter=40):
     for sweep in range(1, max_iter + 1):
         previous = play
         for i in range(game.num_players):
-            play = play.replace(i, validated_best_response(game, play, i))
+            play = swap(play, i, validated_best_response(game, play, i))
         step = validated_play_distance(previous, play)
         payoffs = tuple(qq.payoff(game, play, i) for i in range(game.num_players))
         trace.append(qq.TraceRecord(sweep, payoffs, step))
@@ -538,7 +548,7 @@ def test_one_row_stack_is_the_one_play_kernel_bit_for_bit(dims, observable, seed
 def test_each_stack_row_is_the_one_row_kernel(dims, observable, k, seed):
     rng = np.random.default_rng(seed)
     game = random_game(dims, observable, rng)
-    stacks = qq._random_starts(game, k, rng)
+    stacks = _haar_rows(game.dims, k, rng)
     for i in range(len(dims)):
         form = qq._slot_form(game, stacks, i)
         optimum = qq._slot_optimum(game, stacks, i)
@@ -568,15 +578,14 @@ def test_deviation_gains_are_the_one_play_gains_bit_for_bit(dims):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (16, 16)])
 def test_outer_product_preparation_is_kron_bit_for_bit(dims):
-    from functools import reduce
     rng = np.random.default_rng(sum(dims))
     for _ in range(20):
         factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
-        assert reduce(qq._outer, factors).tobytes() == reduce(np.kron, factors).tobytes()
+        assert reduce(_outer, factors).tobytes() == reduce(np.kron, factors).tobytes()
         for i, d in enumerate(dims):
             columns = [f[:, None] for f in factors]
             columns[i] = rng.standard_normal((d, 7)) + 1j * rng.standard_normal((d, 7))
-            assert reduce(qq._outer, columns).tobytes() == reduce(np.kron, columns).tobytes()
+            assert reduce(_outer, columns).tobytes() == reduce(np.kron, columns).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (16, 16)])
@@ -584,7 +593,7 @@ def test_one_array_start_draw_is_per_start_random_plays(dims):
     game = random_game(dims, [True] * len(dims), np.random.default_rng(1))
     for seed in range(10):
         stack_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stacks = qq._random_starts(game, 6, stack_rng)
+        stacks = _haar_rows(game.dims, 6, stack_rng)
         for r in range(6):
             play = scalar_random_play(game, loop_rng)
             for stack, factor in zip(stacks, play.factors):
@@ -695,7 +704,7 @@ def test_starts_run_in_bounded_stacks_bit_for_bit(monkeypatch):
 
 
 def test_multi_start_dynamics_refuse_a_bad_start_count_before_drawing(monkeypatch):
-    monkeypatch.setattr(qq, "_random_starts", _refuse)
+    monkeypatch.setattr(qq, "_haar_rows", _refuse)
     game = bell_state_preparation_demo()
     for count in (-1, qq.MAX_STARTS + 1):
         with pytest.raises(ValueError, match=f"^num_starts must be 0 to {qq.MAX_STARTS}, "
@@ -994,8 +1003,8 @@ def test_alignment_demo_is_zero_sum_bloch_alignment():
     rng = np.random.default_rng(7)
     for _ in range(5):
         play = qq.random_play(game, rng)
-        p1 = qq.observable_payoff(game, play, 0)
-        p2 = qq.observable_payoff(game, play, 1)
+        p1 = qq.payoff(game, play, 0).real
+        p2 = qq.payoff(game, play, 1).real
         assert p1 + p2 == pytest.approx(0.0, abs=1e-12)
         b1 = bloch_embedding(play.factors[0])
         b2 = bloch_embedding(play.factors[1])
