@@ -20,6 +20,8 @@ from .linalg import (
     UnitaryOperator,
     _fixed_phase,
     _haar_rows,
+    _row_norms,
+    _unit_rows,
     as_rng,
     canonicalize_phase,
     matrix_exponential_unitary,
@@ -116,11 +118,20 @@ def build_grover_game(
     )
 
 
-def ground_state(h: HermitianOperator | np.ndarray) -> PureState:
-    """Canonical eigenvector of the smallest eigenvalue (eigensolver order)."""
+def _final_targets(h: HermitianOperator | np.ndarray) -> tuple[PureState, PureState]:
+    """:func:`ground_state` and :func:`complement_superposition` of ``h`` from one
+    eigensolve; the eigenvector rows are canonicalized by ``_unit_rows``, bit for
+    bit :func:`canonicalize_phase` of each eigenvector."""
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     _, vecs = op.eigensystem()
-    return canonicalize_phase(vecs[:, 0])
+    rows = np.ascontiguousarray(vecs.T)   # C order: the sum below adds whole rows in turn
+    rows = _unit_rows(rows, _row_norms(rows))
+    return PureState(rows[0]), canonicalize_phase(rows[1:].sum(axis=0))
+
+
+def ground_state(h: HermitianOperator | np.ndarray) -> PureState:
+    """Canonical eigenvector of the smallest eigenvalue (eigensolver order)."""
+    return _final_targets(h)[0]
 
 
 def complement_superposition(h: HermitianOperator | np.ndarray) -> PureState:
@@ -130,10 +141,7 @@ def complement_superposition(h: HermitianOperator | np.ndarray) -> PureState:
     adversarial target: it rewards keeping the prepared state out of the
     ground space.
     """
-    op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    _, vecs = op.eigensystem()
-    rest = [canonicalize_phase(vecs[:, k]).amplitudes for k in range(1, op.dimension)]
-    return canonicalize_phase(np.sum(rest, axis=0))
+    return _final_targets(h)[1]
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def build_adiabatic_game(
     )
     q = matrix_exponential_unitary(h, schedule.time)
     if payoff_targets is None:
-        payoff_targets = ground_state(schedule.h_final), complement_superposition(schedule.h_final)
+        payoff_targets = _final_targets(schedule.h_final)
     return build_state_preparation_game((root, root), q, payoff_targets)
 
 
@@ -262,19 +270,18 @@ def sweep_adiabatic(
     """
     _check_sweep_args(starts_per_s, tol, max_iter, epsilon)
     rng = as_rng(seed)
-    ground = ground_state(schedule.h_final)
-    targets = (ground, complement_superposition(schedule.h_final))   # schedule-invariant
+    targets = _final_targets(schedule.h_final)   # schedule-invariant: (ground, complement)
     rows: list[SweepRow] = []
     converged = verified = 0
     for s in schedule.s_values:
         game = build_adiabatic_game(schedule, s, targets)
         starts = _haar_rows(game.dims, starts_per_s, rng)
-        runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=False)
-        cycled = any(run.status is DynamicsStatus.CYCLE_DETECTED for run in runs)
+        outcomes = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=False)
+        cycled = any(o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes)
         candidates = overlap_fixed_point_candidates(game) if cycled else []   # draws nothing
-        for start_id, run in enumerate(runs):
-            final, label, cert = run.factors, run.status.value, None
-            if run.status is DynamicsStatus.CYCLE_DETECTED and candidates:
+        for start_id, outcome in enumerate(outcomes):   # raw factors; no play is validated
+            final, label, cert = outcome.factors, outcome.status.value, None
+            if outcome.status is DynamicsStatus.CYCLE_DETECTED and candidates:
                 resolved = min(candidates, key=lambda c: float(
                     _factor_distances(game.check_play(c), final)))
                 cert = verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8, seed=rng)
@@ -286,16 +293,16 @@ def sweep_adiabatic(
             prepared = prepared_vector(game, final)
             unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
             ok = cert is not None
-            converged += int(run.status is DynamicsStatus.CONVERGED)
+            converged += int(outcome.status is DynamicsStatus.CONVERGED)
             verified += int(ok)
             rows.append(
                 SweepRow(
                     s=float(s),
                     start_id=start_id,
                     outcome=label,
-                    iterations=run.iterations,
+                    iterations=outcome.iterations,
                     payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
-                    ground_overlap_magnitude=float(abs(np.vdot(ground.amplitudes, unit))),
+                    ground_overlap_magnitude=float(abs(np.vdot(targets[0].amplitudes, unit))),
                     verified=ok,
                 )
             )

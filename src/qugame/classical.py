@@ -341,6 +341,8 @@ def verify_countering_convexity(
     Accepted candidates stay rows of their Dirichlet blocks (one array per
     player, popped from the end) and are mixed in bulk with plain arithmetic.
     """
+    if num_samples < 0:   # before any draw
+        raise ValueError(f"num_samples must be >= 0, got {num_samples!r}")
     _check_compatible(game, base)
     rng = as_rng(seed)
     # The swap payoff is a fixed linear form per player, so precompute it

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -165,7 +166,21 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
+# the flags each build kind reads, with their defaults; every other kind refuses them
+_BUILD_FLAGS = {
+    "grover": {"n_qubits": 2, "target_index": 0, "split": "1,1", "iterations": 1},
+    "adiabatic": {"s": 0.0},
+}
+
+
 def _cmd_build(args) -> int:
+    reads = _BUILD_FLAGS.get(args.kind, {})
+    for name in chain(*_BUILD_FLAGS.values()):
+        if getattr(args, name) is None:
+            setattr(args, name, reads.get(name))
+        elif name not in reads:
+            raise gamedoc.DocumentError("--" + name.replace("_", "-"),
+                                        f"not read by --kind {args.kind}")
     if args.kind == "bell-state-prep":
         text = gamedoc.serialize_game(builders.bell_state_preparation_demo())
     elif args.kind == "grover":
@@ -265,11 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["bell-state-prep", "grover", "adiabatic", "alignment-demo", "schedule"],
     )
-    build.add_argument("--n-qubits", type=int, default=2)
-    build.add_argument("--target-index", type=int, default=0)
-    build.add_argument("--split", default="1,1")
-    build.add_argument("--iterations", type=int, default=1)
-    build.add_argument("--s", type=float, default=0.0)
+    # None: not given; _cmd_build applies the kind's default or refuses the flag
+    build.add_argument("--n-qubits", type=int, help="grover only (default 2)")
+    build.add_argument("--target-index", type=int, help="grover only (default 0)")
+    build.add_argument("--split", help="grover only (default 1,1)")
+    build.add_argument("--iterations", type=int, help="grover only (default 1)")
+    build.add_argument("--s", type=float, help="adiabatic only (default 0)")
     common(build, seeded=False)
     build.set_defaults(func=_cmd_build)
 

@@ -47,10 +47,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# targets this close to unit norm are silently renormalized; anything farther
-# is rejected as a data error rather than guessed at
-NORMALIZATION_WINDOW = 1e-6
-
 # a finite game's payoff tensor has one axis per player, and numpy arrays have at most 64 axes
 MAX_FINITE_PLAYERS = 64
 
@@ -65,13 +61,7 @@ class DocumentError(ValueError):
 
 def format_real(x: float) -> str:
     """17-significant-digit decimal form; exact under float round trip."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite real {x!r}")
-    if x == 0.0:
-        # json reads "-0" back as integer zero, so a signed zero cannot
-        # survive a round trip; fold it into plain 0 at the source
-        return "0"
-    return f"{x:.17g}"
+    return _format_reals(x)
 
 
 def canonical_json(value) -> str:
@@ -116,12 +106,15 @@ def _emit(value, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _format_reals(x: np.ndarray, template: str | None = None) -> str:
-    """x's entries in the %.17g slots of ``template`` (default: JSON lists of x's
-    shape), as format_real writes them; + 0.0 folds -0.0 into 0 and moves nothing else."""
+def _format_reals(x: np.ndarray | float, template: str | None = None) -> str:
+    """The package's one real-number format: x's entries in the %.17g slots of
+    ``template`` (default: JSON lists of x's shape, a bare number for a scalar),
+    exact under float round trip. A non-finite entry is refused. json reads "-0"
+    back as integer zero, so a signed zero cannot survive a round trip: + 0.0
+    folds -0.0 into 0 at the source and moves nothing else."""
     x = np.asarray(x, dtype=np.float64) + 0.0
     if not np.isfinite(x).all():
-        format_real(float(x[~np.isfinite(x)][0]))   # raises its ValueError
+        raise ValueError(f"cannot serialize non-finite real {float(x[~np.isfinite(x)][0])!r}")
     if template is None:
         template = "%.17g"
         for n in reversed(x.shape):
@@ -235,7 +228,7 @@ def _unit_state(vec: np.ndarray, path: str) -> PureState:
     norm = np.linalg.norm(vec)
     if norm < DEFAULT_TOLS.phase_cutoff:
         raise DocumentError(path, "state vector is numerically zero")
-    if abs(norm - 1.0) > NORMALIZATION_WINDOW:
+    if abs(norm - 1.0) > DEFAULT_TOLS.normalization_window:   # a data error, not guessed at
         raise DocumentError(
             path, f"state norm {norm!r} is outside the renormalization window"
         )
@@ -468,44 +461,32 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: str, rows: Sequence[str], reals) -> None:
+    """Header, then one line per row template, with the flat ``reals`` in the
+    templates' %.17g slots by one :func:`_format_reals` call."""
+    write_text_atomic(path, _format_reals(reals, "\n".join([header, *rows]) + "\n"))
+
+
 def write_trace_csv(path: str, trace: Sequence[TraceRecord], num_players: int) -> None:
     """Per-sweep dynamics trace; complex payoffs split into re/im columns."""
-    header = ["sweep"]
-    for i in range(num_players):
-        header += [f"payoff_p{i + 1}_re", f"payoff_p{i + 1}_im"]
-    header.append("step_distance")
-    lines = [",".join(header)]
+    payoffs = [f"payoff_p{i}_{part}" for i in range(1, num_players + 1) for part in ("re", "im")]
+    rows, reals = [], []
     for record in trace:
-        cells = [str(record.sweep)]
-        for z in record.payoffs:
-            cells += [format_real(z.real), format_real(z.imag)]
-        cells.append(format_real(record.step_distance))
-        lines.append(",".join(cells))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        rows.append(f"{record.sweep}" + ",%.17g" * (2 * len(record.payoffs) + 1))
+        reals += [x for z in record.payoffs for x in (z.real, z.imag)]
+        reals.append(record.step_distance)
+    _write_csv(path, ",".join(["sweep", *payoffs, "step_distance"]), rows, reals)
 
 
 def write_sweep_csv(path: str, rows) -> None:
     """Schedule-sweep rows with the fixed column set."""
-    header = (
-        "s,start_id,outcome,iterations,"
-        "payoff_player1_re,payoff_player1_im,ground_overlap_magnitude"
-    )
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    format_real(row.s),
-                    str(row.start_id),
-                    row.outcome,
-                    str(row.iterations),
-                    format_real(row.payoff_player1.real),
-                    format_real(row.payoff_player1.imag),
-                    format_real(row.ground_overlap_magnitude),
-                ]
-            )
-        )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    header = ("s,start_id,outcome,iterations,"
+              "payoff_player1_re,payoff_player1_im,ground_overlap_magnitude")
+    _write_csv(path, header,
+               [f"%.17g,{row.start_id},{row.outcome.replace('%', '%%')},{row.iterations},"
+                "%.17g,%.17g,%.17g" for row in rows],
+               [[row.s, row.payoff_player1.real, row.payoff_player1.imag,
+                 row.ground_overlap_magnitude] for row in rows])
 
 
 def read_point_cloud(path: str) -> np.ndarray:
@@ -539,5 +520,4 @@ def read_point_cloud(path: str) -> np.ndarray:
 
 def write_point_cloud(path: str, points: np.ndarray) -> None:
     points = np.asarray(points, dtype=np.float64)
-    rows = ["x,y,z"] + [",".join(["%.17g"] * points.shape[-1])] * len(points)
-    write_text_atomic(path, _format_reals(points, "\n".join(rows) + "\n"))
+    _write_csv(path, "x,y,z", [",".join(["%.17g"] * points.shape[-1])] * len(points), points)

@@ -100,12 +100,19 @@ class ConvexHull3D:
     offsets: np.ndarray
     centroid: np.ndarray
 
-    CONTAINMENT_TOL = 1e-9
     CONTAINMENT_BLOCK = 16   # points per containment-validation block
 
     def contains(self, point: np.ndarray) -> bool:
         heights = self.normals @ np.asarray(point, float) - self.offsets
-        return bool(np.all(heights <= self.CONTAINMENT_TOL))
+        return bool(np.all(heights <= DEFAULT_TOLS.containment))
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, refused by ``name`` unless every entry is finite."""
+    x = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return x
 
 
 def convex_hull(points) -> ConvexHull3D:
@@ -115,11 +122,9 @@ def convex_hull(points) -> ConvexHull3D:
     samples yield a single vertex. Every point is checked against every facet
     plane in blocks of points, holding a block x facets array, never points x facets.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _finite(points, "point cloud")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point cloud has non-finite entries")
     pts = np.unique(pts, axis=0)
     if pts.shape[0] < 4:
         raise ValueError("a 3-d hull needs at least four distinct points")
@@ -148,7 +153,7 @@ def convex_hull(points) -> ConvexHull3D:
         np.matmul(lifted[s:s + len(heights)], planes, out=heights[:len(pts) - s]).max()
         for s in range(0, len(pts), len(heights))
     )
-    if worst > ConvexHull3D.CONTAINMENT_TOL:
+    if worst > DEFAULT_TOLS.containment:
         raise ValueError(f"hull fails containment validation by {worst:.3e}")
     return ConvexHull3D(
         vertices=vertices,
@@ -168,9 +173,6 @@ class ExtremePointsReport:
     fraction: float
 
 
-EXTREME_POINT_TOL = 1e-9   # distance under which a point coincides with a hull vertex
-
-
 def extreme_points(hull: ConvexHull3D, originals) -> ExtremePointsReport:
     """Flag each original point that coincides with a hull vertex."""
     pts = np.asarray(originals, dtype=np.float64)
@@ -178,7 +180,7 @@ def extreme_points(hull: ConvexHull3D, originals) -> ExtremePointsReport:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
     tree = cKDTree(hull.vertices)
     dists, _ = tree.query(pts)
-    flags = dists <= EXTREME_POINT_TOL
+    flags = dists <= DEFAULT_TOLS.extreme_point
     return ExtremePointsReport(
         is_extreme=flags,
         extreme_count=int(flags.sum()),
@@ -188,7 +190,7 @@ def extreme_points(hull: ConvexHull3D, originals) -> ExtremePointsReport:
 
 def support_radius(hull: ConvexHull3D, direction: np.ndarray) -> float:
     """Distance from the hull centroid to the boundary along a unit direction."""
-    d = np.asarray(direction, dtype=np.float64)
+    d = _finite(direction, "direction")
     heights = hull.offsets - hull.normals @ hull.centroid   # all > 0: centroid is interior
     rates = hull.normals @ d
     ahead = rates > DEFAULT_TOLS.flat
@@ -203,8 +205,7 @@ def ball_homeomorphism(hull: ConvexHull3D, point) -> np.ndarray:
     The hull boundary lands exactly on the unit sphere; the centroid goes to
     the origin. Raises when the point lies outside the hull.
     """
-    p = np.asarray(point, dtype=np.float64)
-    u = p - hull.centroid
+    u = _finite(point, "point") - hull.centroid
     r = np.linalg.norm(u)
     if r < DEFAULT_TOLS.centered:
         return np.zeros(3)
@@ -217,7 +218,7 @@ def ball_homeomorphism(hull: ConvexHull3D, point) -> np.ndarray:
 
 def ball_homeomorphism_inverse(hull: ConvexHull3D, point) -> np.ndarray:
     """Inverse radial rescaling: unit-ball point back into the hull."""
-    y = np.asarray(point, dtype=np.float64)
+    y = _finite(point, "point")
     r = np.linalg.norm(y)
     if r > 1.0 + DEFAULT_TOLS.ball_slack:
         raise ValueError("point lies outside the closed unit ball")
@@ -235,7 +236,7 @@ def hemisphere_retract(point) -> np.ndarray:
     the upper hemisphere pointwise and is idempotent. Raises when the input
     leaves the closed ball.
     """
-    x = np.asarray(point, dtype=np.float64)
+    x = _finite(point, "point")
     if x.ndim != 1 or x.size < 2:
         raise ValueError("expected a point in R^m with m >= 2")
     if np.linalg.norm(x) > 1.0 + DEFAULT_TOLS.ball_slack:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -319,20 +319,26 @@ class TraceRecord:
     step_distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsOutcome:
     """Terminal state of iterated best response.
 
-    ``iterations`` counts completed sweeps. ``period`` and ``cycle_start`` are
-    set only for detected cycles; ``trace`` records every sweep.
+    ``iterations`` counts completed sweeps. ``factors`` are the final raw factor
+    arrays, and ``play`` their validated :class:`ProductPlay`, built on first use.
+    ``period`` and ``cycle_start`` are set only for detected cycles; ``trace``
+    records every sweep (it is empty where the caller keeps none).
     """
 
     status: DynamicsStatus
-    play: ProductPlay
     iterations: int
+    factors: tuple[np.ndarray, ...]
     trace: tuple[TraceRecord, ...]
     period: int | None = None
     cycle_start: int | None = None
+
+    @cached_property
+    def play(self) -> ProductPlay:
+        return ProductPlay(self.factors)
 
     @property
     def converged(self) -> bool:
@@ -373,22 +379,6 @@ def _stack_size(dims: Sequence[int]) -> int:
     return max(1, STACK_ENTRIES * min(dims) // math.prod(dims) ** 2)
 
 
-@dataclass(frozen=True)
-class _Run:
-    """One start's dynamics on raw arrays: final factors, trace records if kept."""
-
-    status: DynamicsStatus
-    iterations: int
-    factors: list[np.ndarray]
-    trace: tuple[TraceRecord, ...]
-    period: int | None = None
-    cycle_start: int | None = None
-
-    def outcome(self) -> DynamicsOutcome:
-        return DynamicsOutcome(self.status, ProductPlay(self.factors), self.iterations,
-                               self.trace, self.period, self.cycle_start)
-
-
 def _check_dynamics_args(tol: float, max_iter: int) -> None:
     check_threshold("tol", tol)
     if max_iter < 1:
@@ -397,20 +387,20 @@ def _check_dynamics_args(tol: float, max_iter: int) -> None:
 
 def _dynamics(
     game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
-) -> list[_Run]:
+) -> list[DynamicsOutcome]:
     """:func:`iterated_best_response` from every row of the ``(k, dims[i])`` start
     stacks, :func:`_stack_size` rows at a time. Rows are independent and a stack
     contracts each row as it would alone, so the split moves no factor, status or
     step bits; trace payoffs, one matrix product per stack, round with its width."""
     size = _stack_size(game.dims)
-    return [run for at in range(0, len(starts[0]), size)
-            for run in _stack_dynamics(game, [s[at:at + size] for s in starts],
-                                       tol=tol, max_iter=max_iter, trace=trace)]
+    return [outcome for at in range(0, len(starts[0]), size)
+            for outcome in _stack_dynamics(game, [s[at:at + size] for s in starts],
+                                           tol=tol, max_iter=max_iter, trace=trace)]
 
 
 def _stack_dynamics(
     game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
-) -> list[_Run]:
+) -> list[DynamicsOutcome]:
     """:func:`iterated_best_response` from every row of the start stacks at once.
     Each sweep takes one :func:`_best_rows` per player for the whole stack;
     convergence and revisits are judged per row, against a history of the last
@@ -419,15 +409,15 @@ def _stack_dynamics(
     per sweep, are kept only if ``trace``."""
     factors = list(starts)
     ids = np.arange(len(factors[0]))   # the start of each stack row
-    # the last CYCLE_WINDOW sweeps' factors, oldest first; the start counts as sweep 0
+    # the factors of the last CYCLE_WINDOW sweeps, oldest first: at sweep n, of sweeps
+    # max(0, n - CYCLE_WINDOW) to n - 1, the start counting as sweep 0
     history = [f[None] for f in factors]
-    past = [0]
-    runs: list[_Run | None] = [None] * len(ids)
+    outcomes: list[DynamicsOutcome | None] = [None] * len(ids)
     records: list[list[TraceRecord]] = [[] for _ in ids]
 
     def finish(r, status, period=None, cycle_start=None):
-        runs[ids[r]] = _Run(status, sweep, [f[r] for f in factors], tuple(records[ids[r]]),
-                            period, cycle_start)
+        outcomes[ids[r]] = DynamicsOutcome(status, sweep, tuple(f[r] for f in factors),
+                                           tuple(records[ids[r]]), period, cycle_start)
 
     sweep = 0
     while ids.size and sweep < max_iter:
@@ -445,8 +435,9 @@ def _stack_dynamics(
         # a revisit is of a sweep at least two back (the start is none); demanding
         # step >> gap separates a genuine orbit (large sweeps, near-exact revisit)
         # from a convergent tail, where the gap shrinks in lockstep with the step
-        older = slice(int(past[0] == 0), -1)
-        gaps = distances[older]
+        first = max(0, sweep - CYCLE_WINDOW)   # the sweep history[0] holds
+        oldest = max(1, first)   # the oldest sweep a revisit may be of
+        gaps = distances[oldest - first:-1]
         if gaps.size:
             revisit = (gaps <= DEFAULT_TOLS.cycle_match) & (step >= 10.0 * gaps)
             done = converged | revisit.any(axis=0)
@@ -455,7 +446,7 @@ def _stack_dynamics(
                 if converged[r]:
                     finish(r, DynamicsStatus.CONVERGED)
                 else:
-                    start = past[older][int(revisit[:, r].argmax())]   # the oldest revisit
+                    start = oldest + int(revisit[:, r].argmax())   # the oldest revisit
                     finish(r, DynamicsStatus.CYCLE_DETECTED, sweep - start, start)
             going = ~done
             ids = ids[going]
@@ -465,10 +456,9 @@ def _stack_dynamics(
             factors = [f[going] for f in factors]
         history = [np.concatenate((h[1 - CYCLE_WINDOW:], f[None]))
                    for h, f in zip(history, factors)]
-        past = (past + [sweep])[-CYCLE_WINDOW:]
     for r in range(len(ids)):   # sweep == max_iter here
         finish(r, DynamicsStatus.MAX_ITERATIONS)
-    return runs
+    return outcomes
 
 
 def iterated_best_response(
@@ -494,8 +484,8 @@ def iterated_best_response(
         rows = _play_rows(game, start)
     else:
         rows = _haar_rows(game.dims, 1, as_rng(seed))
-    (run,) = _dynamics(game, rows, tol=tol, max_iter=max_iter, trace=True)
-    return run.outcome()
+    (outcome,) = _dynamics(game, rows, tol=tol, max_iter=max_iter, trace=True)
+    return outcome
 
 
 def multi_start_dynamics(
@@ -512,8 +502,7 @@ def multi_start_dynamics(
         raise ValueError(f"num_starts must be 0 to {MAX_STARTS}, got {num_starts!r}")
     _check_dynamics_args(tol, max_iter)
     starts = _haar_rows(game.dims, num_starts, as_rng(seed))
-    runs = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=True)
-    return [run.outcome() for run in runs]
+    return _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=True)
 
 
 def overlap_fixed_point_candidates(game: QuantumGame) -> list[ProductPlay]:

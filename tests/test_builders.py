@@ -237,7 +237,7 @@ def test_sweep_verifies_each_row_once(monkeypatch):
 def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
     # the targets depend only on the final Hamiltonian, and one prepared vector
     # of the final play gives a row both its payoff and its ground overlap
-    calls = {"complement_superposition": 0, "prepared_vector": 0}
+    calls = {"_final_targets": 0, "prepared_vector": 0}
 
     def counted(name):
         real = getattr(bld, name)
@@ -248,10 +248,10 @@ def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
 
         monkeypatch.setattr(bld, name, counting)
 
-    counted("complement_superposition")
+    counted("_final_targets")
     counted("prepared_vector")
     report = bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, seed=17)
-    assert calls == {"complement_superposition": 1, "prepared_vector": report.num_rows}
+    assert calls == {"_final_targets": 1, "prepared_vector": report.num_rows}
 
 
 def test_sweep_builds_fixed_point_candidates_only_where_a_start_cycled(monkeypatch):

@@ -189,6 +189,17 @@ def test_verify_countering_convexity_three_players():
     assert report.performed == report.passes
 
 
+def test_verify_countering_convexity_refuses_a_negative_sample_count_before_drawing():
+    # -5 used to report requested=-5, performed=0 and ok; zero stays a valid empty run
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^num_samples must be >= 0, got -5$"):
+        verify_countering_convexity(MATCHING_PENNIES, uniform(MATCHING_PENNIES), -5, rng)
+    assert rng.bit_generator.state == state
+    report = verify_countering_convexity(MATCHING_PENNIES, uniform(MATCHING_PENNIES), 0, rng)
+    assert (report.requested, report.performed, report.ok) == (0, 0, True)
+
+
 def test_verify_countering_convexity_reports_shortfall():
     # player 1's payoff depends only on their own row and strictly prefers row
     # 0, so with the base on row 0 the countering set is a face of measure zero

@@ -76,6 +76,23 @@ def test_build_grover_rejects_bad_split(tmp_path, capsys):
         assert not out.exists()
 
 
+BUILD_KINDS = ("bell-state-prep", "grover", "adiabatic", "alignment-demo", "schedule")
+# each kind-specific flag with a value its own kind accepts
+KIND_FLAGS = {"grover": (("--n-qubits", "3"), ("--target-index", "1"), ("--split", "1,2"),
+                         ("--iterations", "2")),
+              "adiabatic": (("--s", "0.5"),)}
+MISPLACED = [(kind, flag, value) for owner, flags in KIND_FLAGS.items() for flag, value in flags
+             for kind in BUILD_KINDS if kind != owner]
+
+
+@pytest.mark.parametrize("kind,flag,value", MISPLACED, ids=" ".join)
+def test_build_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "doc.json"
+    assert run("build", "--kind", kind, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {flag}: not read by --kind {kind}\n"
+    assert not out.exists()
+
+
 def test_solve_and_build_take_no_seed(tmp_path):
     # neither draws a random number, so --seed is an unknown argument there
     bell = build(tmp_path, "bell-state-prep")

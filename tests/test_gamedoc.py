@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -450,7 +451,15 @@ def test_point_cloud_rejects_malformed_rows(tmp_path):
 
 # ------------------------------------------ bulk codec against references ---
 # The element-by-element codec the bulk paths replaced, kept as the oracle:
-# the recursive emitter and the per-element decoders.
+# the scalar real format, the recursive emitter and the per-element decoders.
+
+def reference_format_real(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite real {x!r}")
+    if x == 0.0:
+        return "0"
+    return f"{x:.17g}"
+
 
 def reference_json(value) -> str:
     if isinstance(value, bool):
@@ -458,7 +467,7 @@ def reference_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return gd.format_real(value)
+        return reference_format_real(value)
     return "[" + ",".join(reference_json(item) for item in value) + "]"
 
 
@@ -569,6 +578,56 @@ def test_bulk_emit_raises_format_reals_error_on_non_finite():
         assert str(new.value) == str(ref.value)
 
 
+def test_every_real_writer_keeps_the_scalar_format(tmp_path):
+    # format_real, canonical_json and the three CSV writers share one bulk rule;
+    # each must write every cell as the scalar format did, and refuse alike;
+    # a % in a sweep row's label is text, not a template slot
+    reals = EDGE_REALS + (-1 / 3, 1e-300, -2.0**60, 7.5, 1.0)   # 15 values
+    cell = reference_format_real
+    for x in reals:
+        assert gd.format_real(x) == gd.canonical_json(x) == cell(x)
+    assert gd.canonical_json(list(reals)) == "[" + ",".join(map(cell, reals)) + "]"
+    path = str(tmp_path / "out.csv")
+
+    def written(write, *args):
+        write(path, *args)
+        with open(path) as handle:
+            return handle.read().splitlines()
+
+    trace = [qq.TraceRecord(k, (complex(a, b), complex(c, d)), e)
+             for k, (a, b, c, d, e) in enumerate(np.reshape(reals, (3, 5)).tolist(), 1)]
+    assert written(gd.write_trace_csv, trace, 2)[1:] == [
+        ",".join([str(r.sweep), *(cell(x) for z in r.payoffs for x in (z.real, z.imag)),
+                  cell(r.step_distance)]) for r in trace]
+    rows = [bld.SweepRow(s, k, "cycle_%s", 7 * k, complex(a, b), m, True)
+            for k, (s, a, b, m) in enumerate(np.resize(reals, (4, 4)).tolist())]
+    assert written(gd.write_sweep_csv, rows)[1:] == [
+        ",".join([cell(r.s), str(r.start_id), r.outcome, str(r.iterations),
+                  cell(r.payoff_player1.real), cell(r.payoff_player1.imag),
+                  cell(r.ground_overlap_magnitude)]) for r in rows]
+    points = np.reshape(reals, (5, 3))
+    assert written(gd.write_point_cloud, points) == ["x,y,z"] + [
+        ",".join(map(cell, p)) for p in points.tolist()]
+    # no rows: the header alone
+    assert written(gd.write_point_cloud, np.empty((0, 3))) == ["x,y,z"]
+    assert written(gd.write_trace_csv, [], 1) == ["sweep,payoff_p1_re,payoff_p1_im,step_distance"]
+    assert len(written(gd.write_sweep_csv, [])) == 1
+    os.remove(path)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as ref:
+            cell(bad)
+        message = f"^{re.escape(str(ref.value))}$"
+        with pytest.raises(ValueError, match=message):
+            gd.format_real(bad)
+        with pytest.raises(ValueError, match=message):
+            gd.write_trace_csv(path, [qq.TraceRecord(1, (complex(0.5, bad),), 0.0)], 1)
+        with pytest.raises(ValueError, match=message):
+            gd.write_sweep_csv(path, [bld.SweepRow(0.5, 0, "converged", 1, 0j, bad, True)])
+        with pytest.raises(ValueError, match=message):
+            gd.write_point_cloud(path, [[0.0, bad, 1.0]])
+        assert not os.path.exists(path)
+
+
 MALFORMED_LEAVES = ("true", '"1.5"', "null", "NaN", "1e400", "1" + "0" * 400)
 WIDE_INTEGER_LEAVES = ("1" + "0" * 300, str(2**64 + 1), "-0")
 
@@ -634,7 +693,7 @@ def test_point_cloud_bulk_paths_match_the_per_line_walk(tmp_path):
     pts = np.array([[-0.0, 5e-324, 1.7e308], [3.0, -1 / 3, 0.1], [1e-300, -2.0**60, 7.5]])
     path = tmp_path / "cloud.csv"
     gd.write_point_cloud(str(path), pts)
-    rows = [",".join(gd.format_real(float(c)) for c in p) for p in pts]
+    rows = [",".join(reference_format_real(float(c)) for c in p) for p in pts]
     assert path.read_text() == "\n".join(["x,y,z"] + rows) + "\n"
     # float() spellings numpy's own parser may read differently
     path.write_text(" 1e3 , +2.5,-0\n1_0,  .5,-INF\n")

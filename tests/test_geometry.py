@@ -8,6 +8,7 @@ from scipy.spatial import ConvexHull as QHull
 from scipy.spatial import QhullError
 
 from qugame import geometry as geo
+from qugame.config import DEFAULT_TOLS
 from qugame.linalg import PureState, fubini_study_distance, haar_random_state
 
 
@@ -118,7 +119,7 @@ def oracle_hull(points) -> geo.ConvexHull3D:
         normals[k] = n
         offsets[k] = np.dot(n, a)
     inside = pts @ normals.T - offsets[None, :]
-    if inside.max() > geo.ConvexHull3D.CONTAINMENT_TOL:
+    if inside.max() > DEFAULT_TOLS.containment:
         raise ValueError("hull fails containment validation")
     return geo.ConvexHull3D(vertices, facets, normals, offsets, centroid)
 
@@ -328,6 +329,36 @@ def test_hemisphere_retract_output_has_nonnegative_height():
         v = rng.normal(size=3)
         v /= max(np.linalg.norm(v), 1.0)
         assert geo.hemisphere_retract(v)[2] >= -1e-15
+
+
+# a NaN or an infinity is refused by name before any arithmetic; NaN used to
+# pass the ball check of the retract and to blame the hull elsewhere
+NON_FINITE_POINTS = ([0.5, np.nan, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                     [-np.inf, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_POINTS)
+def test_support_radius_refuses_a_non_finite_direction(bad):
+    with pytest.raises(ValueError, match="^direction has non-finite entries$"):
+        geo.support_radius(geo.convex_hull(CUBE), np.array(bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_POINTS)
+def test_ball_homeomorphism_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match="^point has non-finite entries$"):
+        geo.ball_homeomorphism(geo.convex_hull(CUBE), bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_POINTS)
+def test_ball_homeomorphism_inverse_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match="^point has non-finite entries$"):
+        geo.ball_homeomorphism_inverse(geo.convex_hull(CUBE), bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE_POINTS + ([0.5, np.nan], [np.nan, 0.0]))
+def test_hemisphere_retract_refuses_a_non_finite_point(bad):
+    with pytest.raises(ValueError, match="^point has non-finite entries$"):
+        geo.hemisphere_retract(bad)
 
 
 # ----------------------------------------------------------- coincidence ---

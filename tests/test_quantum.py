@@ -661,6 +661,55 @@ def test_a_start_on_the_orbit_is_no_revisit():
     assert [(r.iterations, r.period, r.cycle_start) for r in runs] == [(3, 2, 1)] * 2
 
 
+@pytest.mark.parametrize("window", (2, 3))
+def test_a_short_cycle_window_slides_as_the_validated_loop_does(monkeypatch, window):
+    # with a window shorter than the run, the oldest sweep held moves on every sweep
+    # and a cycle's start is counted from it, alone or stacked
+    monkeypatch.setattr(qq, "CYCLE_WINDOW", window)
+    games = [
+        qq.alignment_demo_game(),
+        bld.build_adiabatic_game(bld.demo_adiabatic_schedule(), 0.5),
+        bld.build_grover_game(4, 0, (2, 2)),
+        random_game((2, 3, 2), (False, True, False), np.random.default_rng(8)),
+    ]
+    for seed, game in enumerate(games):
+        for k in range(3):
+            assert_matches_validated_loop(game, qq.random_play(game, 3 * seed + k))
+        assert_matches_per_start_loop(game, 6, seed)
+    orbit = qq.iterated_best_response(qq.alignment_demo_game(), seed=3)
+    assert (orbit.iterations, orbit.period, orbit.cycle_start) == (3, 2, 1)
+    # these starts wander for over a dozen sweeps before closing a period-2 orbit
+    late = random_game((3, 2), (True, False, True), np.random.default_rng(1))
+    assert_matches_per_start_loop(late, 6, 1)
+    outcomes = qq.multi_start_dynamics(late, 6, max_iter=40, seed=1)
+    assert max(o.cycle_start or 0 for o in outcomes) > 4 * window
+
+
+def test_an_outcome_validates_its_play_once_and_a_sweep_never_asks(monkeypatch):
+    # dynamics hand back raw final factors; the ProductPlay is built on first use
+    built = []
+    product_play = qq.ProductPlay
+
+    def counting(factors):
+        built.append(factors)
+        return product_play(factors)
+
+    monkeypatch.setattr(qq, "ProductPlay", counting)
+    out = qq.iterated_best_response(bell_state_preparation_demo(), seed=11)
+    assert built == []
+    play = out.play
+    assert out.play is play and len(built) == 1
+    for factor, raw in zip(play.factors, out.factors, strict=True):
+        assert factor.amplitudes.tobytes() == raw.tobytes()
+
+    def refuse(self):
+        raise AssertionError("a sweep validated a dynamics outcome's play")
+
+    monkeypatch.setattr(qq.DynamicsOutcome, "play", property(refuse))
+    report = bld.sweep_adiabatic(bld.demo_adiabatic_schedule(), 2, seed=17)
+    assert report.verified == report.num_rows
+
+
 def test_stack_size_bounds_the_slot_form_intermediate():
     # joint**2 / min(dims) entries per start: the lopsided (2, 2048) game `build --kind
     # grover --n-qubits 12 --split 1,11` emits runs one start at a time, (64, 64) 16 at once
