@@ -3,9 +3,10 @@
 One document describes one game (or one play, profile, or schedule). Complex
 numbers are [re, im] pairs; reals are written with 17 significant digits so a
 parse-serialize round trip is exact; field order is fixed, making serialized
-bytes stable across runs. Arrays are written with one %-format call and read
-as one float64 array; input failing that bulk check meets the per-element
-walk, which alone reports errors, naming the offending field.
+bytes stable across runs. A document is written with one %-format call and
+each real field is read as one float64 array; input failing that bulk check
+meets the per-element walk, which alone reports errors, naming the offending
+field.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ __all__ = [
     "parse_schedule",
     "serialize_schedule",
     "canonical_json",
-    "format_real",
     "write_text_atomic",
     "write_trace_csv",
     "write_sweep_csv",
@@ -59,66 +59,63 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def format_real(x: float) -> str:
-    """17-significant-digit decimal form; exact under float round trip."""
-    return _format_reals(x)
-
-
 def canonical_json(value) -> str:
-    """Deterministic JSON: fixed key order, 17-significant-digit reals."""
-    pieces: list[str] = []
-    _emit(value, pieces)
-    return "".join(pieces)
+    """Deterministic JSON: fixed key order, 17-significant-digit reals. The
+    document is one template whose %.17g slots take all its reals, in order,
+    from one :func:`_format_reals` call."""
+    template: list[str] = []
+    reals: list[np.ndarray] = [np.empty(0)]   # a document may hold no reals
+    _emit(value, template, reals)
+    return _format_reals(np.concatenate(reals, axis=None), "".join(template))
 
 
-def _emit(value, out: list[str]) -> None:
+def _emit(value, out: list[str], reals: list[np.ndarray]) -> None:
     if isinstance(value, bool):
         out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_real(float(value)))
+    elif isinstance(value, (float, np.floating)) or (
+            isinstance(value, np.ndarray) and value.dtype.kind in "fc"):
+        x = np.asarray(value)
+        if x.dtype.kind == "c":   # [re, im] pairs
+            x = np.ascontiguousarray(x, complex).view(float).reshape(*x.shape, 2)
+        slots = "%.17g"
+        for n in reversed(x.shape):
+            slots = "[" + ",".join([slots] * n) + "]"
+        out.append(slots)
+        reals.append(x)
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(json.dumps(value).replace("%", "%%"))
     elif value is None:
         out.append("null")
-    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc":
-        if value.dtype.kind == "c":   # [re, im] pairs
-            value = np.ascontiguousarray(value, complex).view(float).reshape(*value.shape, 2)
-        out.append(_format_reals(value))
     elif isinstance(value, dict):
         out.append("{")
         for k, (key, item) in enumerate(value.items()):
             if k:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            out.append(json.dumps(str(key)).replace("%", "%%"))
             out.append(":")
-            _emit(item, out)
+            _emit(item, out, reals)
         out.append("}")
     elif isinstance(value, (list, tuple, np.ndarray)):
         out.append("[")
         for k, item in enumerate(value):
             if k:
                 out.append(",")
-            _emit(item, out)
+            _emit(item, out, reals)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _format_reals(x: np.ndarray | float, template: str | None = None) -> str:
+def _format_reals(x: np.ndarray, template: str) -> str:
     """The package's one real-number format: x's entries in the %.17g slots of
-    ``template`` (default: JSON lists of x's shape, a bare number for a scalar),
-    exact under float round trip. A non-finite entry is refused. json reads "-0"
-    back as integer zero, so a signed zero cannot survive a round trip: + 0.0
-    folds -0.0 into 0 at the source and moves nothing else."""
+    ``template``, exact under float round trip. A non-finite entry is refused.
+    json reads "-0" back as integer zero, so a signed zero cannot survive a
+    round trip: + 0.0 folds -0.0 into 0 at the source and moves nothing else."""
     x = np.asarray(x, dtype=np.float64) + 0.0
     if not np.isfinite(x).all():
         raise ValueError(f"cannot serialize non-finite real {float(x[~np.isfinite(x)][0])!r}")
-    if template is None:
-        template = "%.17g"
-        for n in reversed(x.shape):
-            template = "[" + ",".join([template] * n) + "]"
     return template % tuple(x.ravel().tolist())
 
 
@@ -239,10 +236,6 @@ def _unit_state(vec: np.ndarray, path: str) -> PureState:
     return PureState(vec / norm)
 
 
-def _unit_target(value, path: str, length: int) -> PureState:
-    return _unit_state(_complex_vector(value, path, length), path)
-
-
 def _nested_shape(value, shape: tuple[int, ...], path: str) -> np.ndarray:
     bulk = _bulk_reals(value, shape)
     if bulk is not None:
@@ -315,7 +308,8 @@ def _parse_quantum(doc: dict) -> QuantumGame:
             raise DocumentError(path, "expected exactly one of 'overlap' or 'observable'")
         key, value = next(iter(spec.items()))
         if key == "overlap":
-            specs.append(OverlapPayoff(_unit_target(value, f"{path}.overlap", joint)))
+            vec = _complex_vector(value, f"{path}.overlap", joint)
+            specs.append(OverlapPayoff(_unit_state(vec, f"{path}.overlap")))
         elif key == "observable":
             entries = _list(value, f"{path}.observable")
             if len(entries) != joint:
@@ -396,8 +390,7 @@ def parse_profile(text: str, counts: Sequence[int] | None = None) -> MixedProfil
         entries = _list(dist, path)
         if counts is not None and len(entries) != counts[i]:
             raise DocumentError(path, f"expected {counts[i]} entries, got {len(entries)}")
-        values = [_real(p, f"{path}[{k}]") for k, p in enumerate(entries)]
-        dists.append(values)
+        dists.append(_nested_shape(entries, (len(entries),), path))
     try:
         return MixedProfile(dists)
     except ValueError as exc:
@@ -422,10 +415,8 @@ def parse_schedule(text: str) -> AdiabaticSchedule:
         ops = HermitianOperator(h_initial), HermitianOperator(h_final)
     except ValueError as exc:
         raise DocumentError("h_initial/h_final", str(exc)) from exc
-    s_values = tuple(
-        _real(v, f"s_values[{k}]")
-        for k, v in enumerate(_list(doc.get("s_values"), "s_values"))
-    )
+    s_raw = _list(doc.get("s_values"), "s_values")
+    s_values = tuple(_nested_shape(s_raw, (len(s_raw),), "s_values").tolist())
     time = _real(doc.get("time"), "time")
     try:
         return AdiabaticSchedule(ops[0], ops[1], s_values, time)
@@ -472,7 +463,10 @@ def write_trace_csv(path: str, trace: Sequence[TraceRecord], num_players: int) -
     payoffs = [f"payoff_p{i}_{part}" for i in range(1, num_players + 1) for part in ("re", "im")]
     rows, reals = [], []
     for record in trace:
-        rows.append(f"{record.sweep}" + ",%.17g" * (2 * len(record.payoffs) + 1))
+        if len(record.payoffs) != num_players:   # its row would not match the header
+            raise ValueError(f"trace record of sweep {record.sweep} holds "
+                             f"{len(record.payoffs)} payoffs, expected {num_players}")
+        rows.append(f"{record.sweep}" + ",%.17g" * (2 * num_players + 1))
         reals += [x for z in record.payoffs for x in (z.real, z.imag)]
         reals.append(record.step_distance)
     _write_csv(path, ",".join(["sweep", *payoffs, "step_distance"]), rows, reals)

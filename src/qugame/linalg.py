@@ -289,6 +289,20 @@ def _projective_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arctan2(_row_norms(residual), np.hypot(inner.real, inner.imag))
 
 
+def _bloch_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Rows (1, x, y, z) of qubit Bloch vectors, shape (..., 2) -> (..., 4).
+
+    The arithmetic is that of conj(a) * b and abs(a) ** 2 on numpy scalars (no
+    fused multiply-add; |a|^2 as pow(hypot(re, im), 2)), so one state's Bloch
+    vector has the same bits whether it is embedded alone or in an array.
+    """
+    a, b = amplitudes[..., 0], amplitudes[..., 1]
+    re = a.real * b.real + a.imag * b.imag
+    im = a.real * b.imag - a.imag * b.real
+    a2, b2 = (np.float_power(np.hypot(c.real, c.imag), 2.0) for c in (a, b))
+    return np.stack([np.ones_like(a2), 2.0 * re, 2.0 * im, a2 - b2], axis=-1)
+
+
 def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> UnitaryOperator:
     """exp(-i t H) for Hermitian H, via eigendecomposition.
 

@@ -28,11 +28,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS, check_threshold
-from .geometry import _bloch_rows
 from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _bloch_rows,
     _frozen,
     _haar_rows,
     _outer,

@@ -422,7 +422,7 @@ def _hemisphere_csv(path, count, seed):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts[:, 2] = np.abs(pts[:, 2])
     lines = ["x,y,z"] + [
-        ",".join(gd.format_real(v) for v in row) for row in pts
+        ",".join(gd.canonical_json(v) for v in row) for row in pts
     ]
     path.write_text("\n".join(lines) + "\n")
     return pts

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import qugame.gamedoc as gd
@@ -21,27 +22,27 @@ from qugame.linalg import ProductPlay, PureState, haar_random_state, haar_random
 
 def test_format_real_is_exact_under_round_trip():
     for x in (0.1, 1 / 3, math.pi, 1e-300, 1e300, -2.5, 6.02e23):
-        assert float(gd.format_real(x)) == x
+        assert float(gd.canonical_json(x)) == x
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_real_round_trips_everything_finite(x):
-    assert float(gd.format_real(x)) == x or (x == 0.0 and float(gd.format_real(x)) == 0.0)
+    assert float(gd.canonical_json(x)) == x or (x == 0.0 and float(gd.canonical_json(x)) == 0.0)
 
 
 def test_format_real_folds_signed_zero():
     # a bare "-0" reparses as integer zero, losing the sign anyway; fold it
     # eagerly so serialized bytes are stable under parse-serialize
-    assert gd.format_real(-0.0) == "0"
-    assert gd.format_real(0.0) == "0"
+    assert gd.canonical_json(-0.0) == "0"
+    assert gd.canonical_json(0.0) == "0"
 
 
 def test_format_real_rejects_non_finite():
     with pytest.raises(ValueError):
-        gd.format_real(float("nan"))
+        gd.canonical_json(float("nan"))
     with pytest.raises(ValueError):
-        gd.format_real(float("inf"))
+        gd.canonical_json(float("inf"))
 
 
 def test_canonical_json_fixed_order_and_types():
@@ -359,7 +360,7 @@ def test_norm_within_working_precision_passes_verbatim():
     # a vector one ulp off unit norm must come back byte-identical, not get
     # nudged by a gratuitous renormalization
     value = np.nextafter(1.0, 0.0)
-    text = play_doc_with_first_amplitude(gd.format_real(value))
+    text = play_doc_with_first_amplitude(gd.canonical_json(value))
     play = gd.parse_play(text, (2, 2))
     assert play.factors[0].amplitudes[0].real == value
     assert gd.serialize_play(play) == text
@@ -404,6 +405,13 @@ def test_trace_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == out.trace[0].sweep
     assert float(first[1]) == pytest.approx(out.trace[0].payoffs[0].real, abs=0)
+
+
+def test_trace_csv_refuses_a_record_that_does_not_match_its_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=r"^trace record of sweep 1 holds 1 payoffs, expected 2$"):
+        gd.write_trace_csv(str(path), [qq.TraceRecord(1, (1 + 0j,), 0.0)], 2)
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_csv_layout(tmp_path):
@@ -462,12 +470,19 @@ def reference_format_real(x: float) -> str:
 
 
 def reference_json(value) -> str:
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return reference_format_real(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(json.dumps(key) + ":" + reference_json(item)
+                              for key, item in value.items()) + "}"
     return "[" + ",".join(reference_json(item) for item in value) + "]"
 
 
@@ -566,6 +581,59 @@ def test_bulk_codec_matches_the_element_walk(shape, values):
             reference_nested, doc, shape, "t")
 
 
+# each leaf as a (document value, plain Python twin) pair; the oracle reads the twin
+TRICKY_TEXT = st.one_of(st.sampled_from(["%", "%%", '"', "%.17g", "%s%(x)d", "é", "☃ 100%"]),
+                        st.text(max_size=8))
+ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+document_leaves = st.one_of(
+    st.none().map(lambda v: (v, v)),
+    st.booleans().map(lambda v: (v, v)),
+    st.integers(-2**70, 2**70).map(lambda v: (v, v)),
+    st.integers(-2**63, 2**63 - 1).map(lambda v: (np.int64(v), v)),
+    reals.map(lambda v: (v, v)),
+    reals.map(lambda v: (np.float64(v), v)),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        lambda v: (np.float32(v), float(np.float32(v)))),
+    TRICKY_TEXT.map(lambda v: (v, v)),
+    hnp.arrays(np.float64, ARRAY_SHAPES, elements=reals).map(lambda a: (a, a.tolist())),
+    hnp.arrays(np.float64, ARRAY_SHAPES.map(lambda s: s + (2,)), elements=reals).map(
+        lambda a: (a.view(np.complex128)[..., 0], a.tolist())),
+)
+documents = st.recursive(document_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4).map(lambda items: ([v for v, _ in items], [p for _, p in items])),
+    st.dictionaries(TRICKY_TEXT, kids, max_size=4).map(lambda d: (
+        {k: v for k, (v, _) in d.items()}, {k: p for k, (_, p) in d.items()})),
+), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_one_template_emitter_matches_the_element_walk(case):
+    value, plain = case
+    text = gd.canonical_json(value)
+    assert text == reference_json(plain)
+    assert json.loads(text) == plain   # -0.0 and integer-valued reals read back equal
+
+
+def test_a_document_formats_its_reals_in_one_call(monkeypatch):
+    calls = []
+    format_reals = gd._format_reals
+
+    def counted(*args):
+        calls.append(args)
+        return format_reals(*args)
+
+    monkeypatch.setattr(gd, "_format_reals", counted)
+    certificate = {"kind": "certificate", "accepted": True, "epsilon": 1e-6,
+                   "per_player_gain": [0.0, 2.5e-9], "probes_per_player": 64,
+                   "max_probe_gain": 3.75e-7}
+    text = gd.canonical_json(certificate)
+    assert len(calls) == 1
+    assert text == ('{"kind":"certificate","accepted":true,"epsilon":9.9999999999999995e-07,'
+                    '"per_player_gain":[0,2.5000000000000001e-09],"probes_per_player":64,'
+                    '"max_probe_gain":3.7500000000000001e-07}')
+
+
 def test_bulk_emit_raises_format_reals_error_on_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as ref:
@@ -579,13 +647,13 @@ def test_bulk_emit_raises_format_reals_error_on_non_finite():
 
 
 def test_every_real_writer_keeps_the_scalar_format(tmp_path):
-    # format_real, canonical_json and the three CSV writers share one bulk rule;
+    # canonical_json and the three CSV writers share one bulk rule;
     # each must write every cell as the scalar format did, and refuse alike;
     # a % in a sweep row's label is text, not a template slot
     reals = EDGE_REALS + (-1 / 3, 1e-300, -2.0**60, 7.5, 1.0)   # 15 values
     cell = reference_format_real
     for x in reals:
-        assert gd.format_real(x) == gd.canonical_json(x) == cell(x)
+        assert gd.canonical_json(x) == cell(x)
     assert gd.canonical_json(list(reals)) == "[" + ",".join(map(cell, reals)) + "]"
     path = str(tmp_path / "out.csv")
 
@@ -618,7 +686,7 @@ def test_every_real_writer_keeps_the_scalar_format(tmp_path):
             cell(bad)
         message = f"^{re.escape(str(ref.value))}$"
         with pytest.raises(ValueError, match=message):
-            gd.format_real(bad)
+            gd.canonical_json(bad)
         with pytest.raises(ValueError, match=message):
             gd.write_trace_csv(path, [qq.TraceRecord(1, (complex(0.5, bad),), 0.0)], 1)
         with pytest.raises(ValueError, match=message):
@@ -687,6 +755,24 @@ def test_observable_eigenvalues_fail_at_their_field(leaf):
     with pytest.raises(gd.DocumentError) as new:
         gd.parse_game(bad)
     assert (new.value.path, str(new.value)) == (ref.value.path, str(ref.value))
+
+
+@pytest.mark.parametrize("leaf", MALFORMED_LEAVES + ("[1]",))
+def test_profile_and_schedule_reals_fail_at_their_field(leaf):
+    profile = gd.serialize_profile(MixedProfile([[0.5, 0.5], [0.25, 0.75]]))
+    schedule = gd.serialize_schedule(bld.demo_adiabatic_schedule())
+    cases = [
+        (gd.parse_profile, profile.replace("0.25,0.75", f"0.25,{leaf}"),
+         lambda doc: doc["distributions"][1][1], "distributions[1][1]"),
+        (gd.parse_schedule, schedule.replace('"s_values":[0,', f'"s_values":[{leaf},'),
+         lambda doc: doc["s_values"][0], "s_values[0]"),
+    ]
+    for parse, bad, entry, path in cases:
+        with pytest.raises(gd.DocumentError) as ref:
+            reference_real(entry(json.loads(bad)), path)
+        with pytest.raises(gd.DocumentError) as new:
+            parse(bad)
+        assert (new.value.path, str(new.value)) == (ref.value.path, str(ref.value))
 
 
 def test_point_cloud_bulk_paths_match_the_per_line_walk(tmp_path):
