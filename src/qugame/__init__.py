@@ -25,12 +25,10 @@ from .classical import (
     EquilibriumCertificate,
     FiniteGame,
     MixedProfile,
-    best_response_mixed,
     counters,
     deviation_gains,
     expected_payoff,
     is_epsilon_nash,
-    mix_profiles,
     pure_deviation_payoffs,
     random_profile,
     support_enumeration_nash,

@@ -23,12 +23,10 @@ __all__ = [
     "expected_payoff",
     "pure_deviation_payoffs",
     "counters",
-    "best_response_mixed",
     "deviation_gains",
     "is_epsilon_nash",
     "support_enumeration_nash",
     "random_profile",
-    "mix_profiles",
     "verify_countering_convexity",
 ]
 
@@ -176,14 +174,6 @@ def counters(game: FiniteGame, p_prime: MixedProfile, p: MixedProfile) -> bool:
     )
 
 
-def best_response_mixed(game: FiniteGame, profile: MixedProfile, i: int) -> np.ndarray:
-    """One-hot best reply for player ``i`` (lowest index wins ties)."""
-    payoffs = pure_deviation_payoffs(game, profile, i)
-    best = np.zeros_like(payoffs)
-    best[int(np.argmax(payoffs))] = 1.0
-    return best
-
-
 def _deviation_gains(tensors: Sequence[np.ndarray], dists: Sequence[np.ndarray]) -> np.ndarray:
     """:func:`deviation_gains` on raw distribution arrays, no profile built."""
     payoffs = [_deviation_payoffs(t, dists, i) for i, t in enumerate(tensors)]
@@ -292,18 +282,6 @@ def random_profile(game: FiniteGame, rng: np.random.Generator) -> MixedProfile:
     """Profile with each distribution drawn uniformly from its simplex."""
     return MixedProfile(
         [rng.dirichlet(np.ones(k)) for k in game.strategy_counts]
-    )
-
-
-def mix_profiles(p: MixedProfile, q: MixedProfile, weight: float) -> MixedProfile:
-    """Convex combination weight*p + (1-weight)*q, taken per player."""
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
-    if p.strategy_counts != q.strategy_counts:
-        raise ValueError("profiles have mismatched strategy counts")
-    return MixedProfile(
-        [weight * dp + (1.0 - weight) * dq
-         for dp, dq in zip(p.distributions, q.distributions)]
     )
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QHull
-from scipy.spatial import QhullError, cKDTree
 
 from .config import DEFAULT_TOLS
 from .linalg import PureState, _as_vector, _bloch_rows, as_rng, fubini_study_distance
@@ -48,7 +46,7 @@ def bloch_embedding(state) -> np.ndarray:
 
 def great_circle_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Arc length between unit vectors in R^3."""
-    dot = float(np.clip(np.dot(u, v), -1.0, 1.0))
+    dot = float(np.clip(np.dot(_finite(u, "u"), _finite(v, "v")), -1.0, 1.0))
     return float(np.arccos(dot))
 
 
@@ -101,6 +99,24 @@ def _finite(value, name: str) -> np.ndarray:
     return x
 
 
+def _points(value, name: str) -> np.ndarray:
+    """``value`` as a finite (n >= 1, 3) float64 array, refused by ``name`` otherwise."""
+    x = _finite(value, name)
+    if x.ndim != 2 or x.shape[1] != 3 or x.shape[0] == 0:
+        raise ValueError(f"{name} must be an (n >= 1, 3) point array, got shape {x.shape}")
+    return x
+
+
+def _spatial():
+    """``scipy.spatial``, imported on first use: only the hull and nearest-point tools need it."""
+    import scipy.spatial
+    return scipy.spatial
+
+
+def _QHull(points):   # quickhull, under a name of its own so that tests can replace it
+    return _spatial().ConvexHull(points)
+
+
 def convex_hull(points) -> ConvexHull3D:
     """Hull of a 3-d point cloud (quickhull); raises on degenerate input.
 
@@ -108,15 +124,12 @@ def convex_hull(points) -> ConvexHull3D:
     samples yield a single vertex. Every point is checked against every facet
     plane in blocks of points, holding a block x facets array, never points x facets.
     """
-    pts = _finite(points, "point cloud")
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    pts = np.unique(pts, axis=0)
+    pts = np.unique(_points(points, "point cloud"), axis=0)
     if pts.shape[0] < 4:
         raise ValueError("a 3-d hull needs at least four distinct points")
     try:
         hull = _QHull(pts)
-    except QhullError as exc:
+    except _spatial().QhullError as exc:
         raise ValueError(f"degenerate point cloud (coplanar or collinear): {exc}") from exc
     vertices = pts[hull.vertices]
     relabel = np.empty(pts.shape[0], dtype=np.intp)
@@ -161,11 +174,8 @@ class ExtremePointsReport:
 
 def extreme_points(hull: ConvexHull3D, originals) -> ExtremePointsReport:
     """Flag each original point that coincides with a hull vertex."""
-    pts = np.asarray(originals, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    tree = cKDTree(hull.vertices)
-    dists, _ = tree.query(pts)
+    pts = _points(originals, "originals")   # before the tree is built
+    dists, _ = _spatial().cKDTree(hull.vertices).query(pts)
     flags = dists <= DEFAULT_TOLS.extreme_point
     return ExtremePointsReport(
         is_extreme=flags,
@@ -304,11 +314,10 @@ def boundary_coincidence_check(
     _check_sampling(num_boundary_samples, delta)
     if not 0 < threshold <= 1:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    pts = np.asarray(samples, dtype=np.float64)
+    pts = _points(samples, "samples")
     hull = convex_hull(pts) if hull is None else hull
-    rng = as_rng(seed)
-    boundary = sample_hull_boundary(hull, num_boundary_samples, rng)
-    dists, _ = cKDTree(pts).query(boundary)
+    boundary = sample_hull_boundary(hull, num_boundary_samples, as_rng(seed))
+    dists, _ = _spatial().cKDTree(pts).query(boundary)
     fraction = float((dists <= delta).mean())
     coincident = fraction >= threshold
     status = (

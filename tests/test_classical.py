@@ -11,12 +11,10 @@ from qugame.classical import (
     ConvexityReport,
     FiniteGame,
     MixedProfile,
-    best_response_mixed,
     counters,
     deviation_gains,
     expected_payoff,
     is_epsilon_nash,
-    mix_profiles,
     pure_deviation_payoffs,
     random_profile,
     support_enumeration_nash,
@@ -43,6 +41,19 @@ def pure(game, *choices):
 
 def uniform(game):
     return MixedProfile([np.full(k, 1.0 / k) for k in game.strategy_counts])
+
+
+def mix_profiles(p, q, weight):
+    """Convex combination weight*p + (1-weight)*q, taken per player."""
+    return MixedProfile([weight * dp + (1.0 - weight) * dq
+                         for dp, dq in zip(p.distributions, q.distributions)])
+
+
+def best_response_mixed(game, profile, i):
+    """One-hot best reply for player ``i`` (lowest index wins ties)."""
+    best = np.zeros(game.strategy_counts[i])
+    best[int(np.argmax(pure_deviation_payoffs(game, profile, i)))] = 1.0
+    return best
 
 
 # --------------------------------------------------------------- payoffs ---

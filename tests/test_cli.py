@@ -1,16 +1,20 @@
 """End-to-end checks of the command line front end.
 
-Everything runs in-process through run_cli against files in tmp_path; one
-test goes through a real subprocess to cover the module entry point.
+Everything runs in-process through run_cli against files in tmp_path; two
+tests go through a real subprocess, one to cover the module entry point and
+one to see which subcommands load scipy in a fresh interpreter.
 """
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qugame
 from qugame import builders as bld
 from qugame import classical, geometry, quantum
 from qugame import gamedoc as gd
@@ -733,6 +737,47 @@ def test_deeply_nested_input_exits_1_at_the_document_root(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ entrypoint ---
+
+# Every subcommand but geometry runs without scipy: geometry imports
+# scipy.spatial on first use. Run in a fresh interpreter, because this one
+# already holds scipy.
+SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+from qugame import gamedoc
+from qugame.cli import run_cli
+from qugame.linalg import ProductPlay, PureState
+
+def step(argv, loaded=False):
+    assert run_cli(argv) == 0, argv
+    assert ("scipy" in sys.modules) == loaded, argv
+
+work = Path(sys.argv[1])
+game, sched, play, cloud = (str(work / n) for n in ("g.json", "s.json", "p.json", "c.csv"))
+assert "scipy" not in sys.modules, "import qugame.cli"
+step(["build", "--kind", "alignment-demo", "--out", game])
+step(["build", "--kind", "schedule", "--out", sched])
+step(["solve", "--input", game, "--resolution", "4", "--out", str(work / "solve.json")])
+step(["dynamics", "--input", game, "--out", str(work / "dyn.json")])
+Path(play).write_text(gamedoc.serialize_play(
+    ProductPlay([PureState([1, 0]), PureState([1, 0])])) + "\\n")
+step(["verify", "--input", game, "--play", play, "--epsilon", "1", "--out",
+      str(work / "cert.json")])
+step(["sweep", "--input", sched, "--starts", "1", "--out", str(work / "sweep.csv")])
+gamedoc.write_point_cloud(cloud, [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+step(["geometry", "--input", cloud, "--boundary-samples", "10", "--out",
+      str(work / "geo.json")], loaded=True)
+"""
+
+
+def test_only_geometry_loads_scipy(tmp_path):
+    src = Path(qugame.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_module_entry_point_subprocess(tmp_path):
     out = tmp_path / "sched.json"

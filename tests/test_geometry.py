@@ -205,6 +205,20 @@ def test_convex_hull_containment_checks_every_block(monkeypatch):
         geo.convex_hull(pts)
 
 
+@pytest.mark.parametrize("hull_first", [True, False])
+def test_quickhull_hook_survives_a_patch(monkeypatch, hull_first):
+    # whether or not a hull was built before the hook is replaced, restoring
+    # it brings back the real quickhull
+    if hull_first:
+        geo.convex_hull(CUBE)
+    monkeypatch.setattr(geo, "_QHull", lambda points: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        geo.convex_hull(CUBE)
+    monkeypatch.undo()
+    hull = geo.convex_hull(CUBE)
+    assert (len(hull.vertices), len(hull.facets)) == (8, 12)
+
+
 def test_convex_hull_needs_full_dimension():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
@@ -359,6 +373,47 @@ def test_ball_homeomorphism_inverse_refuses_a_non_finite_point(bad):
 def test_hemisphere_retract_refuses_a_non_finite_point(bad):
     with pytest.raises(ValueError, match="^point has non-finite entries$"):
         geo.hemisphere_retract(bad)
+
+
+@pytest.mark.parametrize("u, v, name", [([np.nan, 0, 1], [0, 0, 1], "u"),
+                                        ([0, 0, 1], [0, np.inf, 1], "v")])
+def test_great_circle_distance_refuses_a_non_finite_vector(u, v, name):
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        geo.great_circle_distance(np.array(u), np.array(v))
+
+
+def refuse_trees_and_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was built or a draw made before the points were checked")
+
+    monkeypatch.setattr(geo, "_spatial", refuse)
+    monkeypatch.setattr(geo, "sample_hull_boundary", refuse)
+
+
+# a bad point array is refused by name before any tree is built or any draw
+# made, instead of a scipy message, a NaN fraction, or a verdict drawn from
+# no samples
+BAD_POINT_ARRAYS = [
+    (np.vstack([CUBE, [[np.nan, 0.0, 0.0]]]), "has non-finite entries"),
+    (CUBE[:, :2], r"must be an \(n >= 1, 3\) point array, got shape \(8, 2\)"),
+    (np.zeros((0, 3)), r"must be an \(n >= 1, 3\) point array, got shape \(0, 3\)"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_POINT_ARRAYS)
+def test_extreme_points_refuses_a_bad_point_array(monkeypatch, bad, message):
+    hull = geo.convex_hull(CUBE)
+    refuse_trees_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^originals {message}$"):
+        geo.extreme_points(hull, bad)
+
+
+@pytest.mark.parametrize("bad, message", BAD_POINT_ARRAYS)
+def test_coincidence_check_refuses_bad_samples_with_a_given_hull(monkeypatch, bad, message):
+    hull = geo.convex_hull(CUBE)
+    refuse_trees_and_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^samples {message}$"):
+        geo.boundary_coincidence_check(bad, num_boundary_samples=10, hull=hull)
 
 
 # ----------------------------------------------------------- coincidence ---
