@@ -81,10 +81,10 @@ def grover_iterate(n_qubits: int, target_index: int) -> UnitaryOperator:
     n = 1 << n_qubits
     if not 0 <= target_index < n:
         raise ValueError(f"target index {target_index} out of range for {n} basis states")
-    oracle = np.eye(n)
-    oracle[target_index, target_index] = -1.0
-    uniform = np.full((n, n), 2.0 / n) - np.eye(n)
-    return UnitaryOperator(uniform @ oracle)
+    # the oracle is diagonal, so the product with it negates the target column
+    step = np.full((n, n), 2.0 / n) - np.eye(n)
+    step[:, target_index] *= -1.0
+    return UnitaryOperator(step)
 
 
 def build_grover_game(

@@ -133,15 +133,6 @@ def _check_compatible(game: FiniteGame, profile: MixedProfile) -> None:
         )
 
 
-def expected_payoff(game: FiniteGame, profile: MixedProfile, i: int) -> float:
-    """Expected payoff of player ``i``: the tensor contracted with every distribution."""
-    _check_compatible(game, profile)
-    t = game.payoff_tensors[i]
-    for d in reversed(profile.distributions):
-        t = t @ d
-    return float(t)
-
-
 def _deviation_payoffs(tensor: np.ndarray, dists: Sequence[np.ndarray], i: int) -> np.ndarray:
     """Player ``i``'s tensor contracted with every other player's distribution."""
     for j in reversed(range(len(dists))):
@@ -156,6 +147,18 @@ def pure_deviation_payoffs(game: FiniteGame, profile: MixedProfile, i: int) -> n
     return _deviation_payoffs(game.payoff_tensors[i], profile.distributions, i)
 
 
+def expected_payoff(game: FiniteGame, profile: MixedProfile, i: int) -> float:
+    """Expected payoff of player ``i``: own pure deviation payoffs weighted by own distribution."""
+    return float(pure_deviation_payoffs(game, profile, i) @ profile.distributions[i])
+
+
+def _countering_floors(game: FiniteGame, p: MixedProfile) -> tuple[list[np.ndarray], list[float]]:
+    """Per player, the swap-payoff form against ``p`` and its floor: the payoff at ``p`` less slack."""
+    forms = [pure_deviation_payoffs(game, p, i) for i in range(game.num_players)]
+    slack = DEFAULT_TOLS.countering_slack
+    return forms, [float(f @ d) - slack for f, d in zip(forms, p.distributions)]
+
+
 def counters(game: FiniteGame, p_prime: MixedProfile, p: MixedProfile) -> bool:
     """Whether every player weakly gains by swapping in their ``p_prime`` part.
 
@@ -166,12 +169,8 @@ def counters(game: FiniteGame, p_prime: MixedProfile, p: MixedProfile) -> bool:
     ``p_prime`` jointly instead would break convexity. Comparisons carry the
     countering slack so exact ties survive rounding.
     """
-    slack = DEFAULT_TOLS.countering_slack
-    return all(
-        pure_deviation_payoffs(game, p, i) @ p_prime.distributions[i]
-        >= expected_payoff(game, p, i) - slack
-        for i in range(game.num_players)
-    )
+    forms, floors = _countering_floors(game, p)
+    return all(f @ d >= floor for f, d, floor in zip(forms, p_prime.distributions, floors))
 
 
 def _deviation_gains(tensors: Sequence[np.ndarray], dists: Sequence[np.ndarray]) -> np.ndarray:
@@ -321,14 +320,11 @@ def verify_countering_convexity(
     """
     if num_samples < 0:   # before any draw
         raise ValueError(f"num_samples must be >= 0, got {num_samples!r}")
-    _check_compatible(game, base)
-    rng = as_rng(seed)
     # The swap payoff is a fixed linear form per player, so precompute it
     # once and test candidates with dot products; candidates are drawn in
     # batches to keep the rejection loop out of Python.
-    slack = DEFAULT_TOLS.countering_slack
-    forms = [pure_deviation_payoffs(game, base, i) for i in range(game.num_players)]
-    floors = [expected_payoff(game, base, i) - slack for i in range(game.num_players)]
+    forms, floors = _countering_floors(game, base)
+    rng = as_rng(seed)
     alphas = [np.ones(k) for k in game.strategy_counts]
     queue = [np.empty((0, k)) for k in game.strategy_counts]
     performed = passes = failures = rejected = 0

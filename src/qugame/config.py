@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["Tolerances", "DEFAULT_TOLS", "check_threshold"]
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -28,7 +30,7 @@ class Tolerances:
     eigenvalue_tie: float = 1e-12   # gap under which top eigenvalues form one block
     flat: float = 1e-14             # facet normal length, or ray-to-plane rate, read as zero
     centered: float = 1e-15         # radius under which a point sits at the hull centre
-    ball_slack: float = 1e-9        # relative slack of the closed-ball and inside-hull checks
+    ball_slack: float = 1e-9        # relative slack of the closed-ball, inside-hull and unit-sphere checks
     containment: float = 1e-9       # height above a facet plane a hull's own point may reach
     extreme_point: float = 1e-9     # distance under which a point coincides with a hull vertex
     normalization_window: float = 1e-6  # norm gap from 1 within which a parsed state is rescaled

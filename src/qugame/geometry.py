@@ -45,9 +45,20 @@ def bloch_embedding(state) -> np.ndarray:
 
 
 def great_circle_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Arc length between unit vectors in R^3."""
-    dot = float(np.clip(np.dot(_finite(u, "u"), _finite(v, "v")), -1.0, 1.0))
+    """Arc length between unit vectors in R^3; any other ``u`` or ``v`` is refused by name."""
+    dot = float(np.clip(np.dot(_unit_vector(u, "u"), _unit_vector(v, "v")), -1.0, 1.0))
     return float(np.arccos(dot))
+
+
+def _unit_vector(value, name: str) -> np.ndarray:
+    """``value`` as a finite point of the unit sphere in R^3, refused by ``name`` otherwise."""
+    x = _finite(value, name)
+    if x.shape != (3,):
+        raise ValueError(f"{name} must be a vector in R^3, got shape {x.shape}")
+    norm = float(np.linalg.norm(x))
+    if abs(norm - 1.0) > DEFAULT_TOLS.ball_slack:
+        raise ValueError(f"{name} is not a unit vector: |{name}| = {norm!r}")
+    return x
 
 
 @dataclass(frozen=True)

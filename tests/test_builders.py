@@ -67,6 +67,16 @@ def test_grover_iterate_is_unitary_and_composes():
     assert_allclose(two, one @ one, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_grover_iterate_equals_the_dense_oracle_product(n_qubits):
+    n = 1 << n_qubits
+    for target in {0, n // 2, n - 1}:
+        oracle = np.eye(n)
+        oracle[target, target] = -1.0
+        dense = (np.full((n, n), 2.0 / n) - np.eye(n)) @ oracle
+        assert np.array_equal(bld.grover_iterate(n_qubits, target).matrix, dense)
+
+
 def test_grover_game_targets_seeker_versus_spoiler():
     game = bld.build_grover_game(3, 5, (1, 2))
     assert game.dims == (2, 4)

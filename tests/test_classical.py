@@ -158,6 +158,10 @@ def test_counters_is_reflexive():
     for _ in range(20):
         p = random_profile(game, rng)
         assert counters(game, p, p)
+        # the expected payoff is the swap form at the player's own part, bit for bit,
+        # so reflexivity does not lean on the countering slack
+        for i in range(game.num_players):
+            assert pure_deviation_payoffs(game, p, i) @ p.distributions[i] == expected_payoff(game, p, i)
 
 
 def test_counters_accepts_exact_ties_under_rounding():

@@ -382,6 +382,29 @@ def test_great_circle_distance_refuses_a_non_finite_vector(u, v, name):
         geo.great_circle_distance(np.array(u), np.array(v))
 
 
+# off the unit sphere of R^3 the clipped arccos is no angle: [0.5, 0.5, 0]
+# against [1, 0, 0] would read pi/3 where the angle is pi/4
+def test_great_circle_distance_refuses_a_vector_off_the_unit_sphere():
+    with pytest.raises(ValueError, match=r"^v is not a unit vector: \|v\| = 0\.707106"):
+        geo.great_circle_distance([1, 0, 0], [0.5, 0.5, 0])
+    with pytest.raises(ValueError, match=r"^u is not a unit vector: \|u\| = 2\.0$"):
+        geo.great_circle_distance([0, 0, 2], [0, 0, 1])
+    slack = DEFAULT_TOLS.ball_slack
+    assert geo.great_circle_distance([0, 0, 1 + slack / 2], [0, 0, -1]) == pytest.approx(np.pi)
+
+
+def test_great_circle_distance_refuses_a_vector_outside_r3():
+    with pytest.raises(ValueError, match=r"^u must be a vector in R\^3, got shape \(2,\)$"):
+        geo.great_circle_distance([1, 0], [0, 1])
+    with pytest.raises(ValueError, match=r"^u must be a vector in R\^3, got shape \(1, 3\)$"):
+        geo.great_circle_distance([[1, 0, 0]], [0, 1, 0])
+
+
+def test_great_circle_distance_refuses_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match=r"^v must be a vector in R\^3, got shape \(2,\)$"):
+        geo.great_circle_distance([1, 0, 0], [0, 1])
+
+
 def refuse_trees_and_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tree was built or a draw made before the points were checked")
