@@ -106,16 +106,15 @@ def build_grover_game(
         raise ValueError(f"player split {player_split} must be positive and sum to {n_qubits}")
     if iterations < 1:
         raise ValueError("need at least one iterate")
-    step = grover_iterate(n_qubits, target_index).matrix
+    q = grover_iterate(n_qubits, target_index)
+    if iterations > 1:   # a single iterate is already validated
+        q = UnitaryOperator(np.linalg.matrix_power(q.matrix, iterations))
     n = 1 << n_qubits
-    q = np.linalg.matrix_power(step, iterations)
     marked = np.zeros(n)
     marked[target_index] = 1.0
     unmarked = np.full(n, 1.0 / math.sqrt(n - 1))
     unmarked[target_index] = 0.0
-    return build_state_preparation_game(
-        (1 << x, 1 << y), UnitaryOperator(q), (marked, unmarked)
-    )
+    return build_state_preparation_game((1 << x, 1 << y), q, (marked, unmarked))
 
 
 def _final_targets(h: HermitianOperator | np.ndarray) -> tuple[PureState, PureState]:
@@ -123,7 +122,7 @@ def _final_targets(h: HermitianOperator | np.ndarray) -> tuple[PureState, PureSt
     eigensolve; the eigenvector rows are canonicalized by ``_unit_rows``, bit for
     bit :func:`canonicalize_phase` of each eigenvector."""
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    _, vecs = op.eigensystem()
+    _, vecs = np.linalg.eigh(op.matrix)
     rows = np.ascontiguousarray(vecs.T)   # C order: the sum below adds whole rows in turn
     rows = _unit_rows(rows, _row_norms(rows))
     return PureState(rows[0]), canonicalize_phase(rows[1:].sum(axis=0))
@@ -170,6 +169,7 @@ class AdiabaticSchedule:
         if not (np.isfinite(self.time) and self.time > 0):
             raise ValueError("duration must be positive and finite")
         object.__setattr__(self, "s_values", s)
+        object.__setattr__(self, "time", float(self.time))
 
     @property
     def dimension(self) -> int:

@@ -16,9 +16,9 @@ rejection, 2 usage errors. All file output is atomic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -32,15 +32,10 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _certificate_doc(accepted: bool, epsilon: float, gains, extra: dict) -> dict:
-    doc = {
-        "kind": "certificate",
-        "accepted": accepted,
-        "epsilon": float(epsilon),
-        "per_player_gain": [float(g) for g in gains],
-    }
-    doc.update(extra)
-    return doc
+def _write_doc(path: str, doc: dict | str) -> None:
+    """Write a report, or a document's canonical text, and a trailing newline."""
+    text = doc if isinstance(doc, str) else gamedoc.canonical_json(doc)
+    gamedoc.write_text_atomic(path, text + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -49,23 +44,19 @@ def _cmd_solve(args) -> int:
     game = gamedoc.parse_game(_read(args.input))
     if isinstance(game, classical.FiniteGame):
         certificates = classical.support_enumeration_nash(game)
-        doc = {
+        _write_doc(args.out, {
             "kind": "equilibria",
             "game": "finite",
             "count": len(certificates),
             "equilibria": [
-                {
-                    "distributions": [list(map(float, d)) for d in c.profile.distributions],
-                    "epsilon": c.epsilon,
-                    "per_player_gain": [float(g) for g in c.per_player_gain],
-                }
+                {"distributions": c.profile.distributions, "epsilon": c.epsilon,
+                 "per_player_gain": c.per_player_gain}
                 for c in certificates
             ],
-        }
-        gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
+        })
         return 0
     report = quantum.grid_search_pure_nash(game, args.resolution, args.epsilon)
-    doc = {
+    _write_doc(args.out, {
         "kind": "grid_search",
         "game": "quantum",
         "resolution": report.resolution,
@@ -75,8 +66,7 @@ def _cmd_solve(args) -> int:
         "min_max_gain": report.min_max_gain,
         "best_play": [f.amplitudes for f in report.best_play().factors],
         "equilibrium_indices": [list(pair) for pair in report.equilibrium_indices],
-    }
-    gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
+    })
     return 0
 
 
@@ -85,9 +75,7 @@ def _cmd_dynamics(args) -> int:
     game = gamedoc.parse_game(_read(args.input))
     if not isinstance(game, quantum.QuantumGame):
         raise gamedoc.DocumentError("kind", "dynamics runs on quantum games")
-    start = None
-    if args.start is not None:
-        start = gamedoc.parse_play(_read(args.start), game.dims)
+    start = None if args.start is None else gamedoc.parse_play(_read(args.start), game.dims)
     outcome = quantum.iterated_best_response(
         game,
         start,
@@ -95,7 +83,7 @@ def _cmd_dynamics(args) -> int:
         max_iter=args.max_iter,
         seed=args.seed,
     )
-    doc = {
+    _write_doc(args.out, {
         "kind": "dynamics_outcome",
         "status": outcome.status.value,
         "iterations": outcome.iterations,
@@ -103,8 +91,7 @@ def _cmd_dynamics(args) -> int:
         "cycle_start": outcome.cycle_start,
         "final_play": [f.amplitudes for f in outcome.play.factors],
         "final_payoffs": np.array(outcome.trace[-1].payoffs, dtype=np.complex128),
-    }
-    gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
+    })
     if args.trace_out:
         gamedoc.write_trace_csv(args.trace_out, outcome.trace, game.num_players)
     return 0
@@ -114,25 +101,21 @@ def _cmd_verify(args) -> int:
     quantum._check_verify_args(args.epsilon, args.probes)   # --probes is unused on finite games
     game = gamedoc.parse_game(_read(args.input))
     if isinstance(game, classical.FiniteGame):
-        profile = gamedoc.parse_profile(_read(args.play), game.strategy_counts)
-        certificate = classical.is_epsilon_nash(game, profile, args.epsilon)
-        gains = (certificate.per_player_gain if certificate is not None
-                 else classical.deviation_gains(game, profile))
-        doc = _certificate_doc(certificate is not None, args.epsilon, gains, {})
+        play = gamedoc.parse_profile(_read(args.play), game.strategy_counts)
+        certificate = classical.is_epsilon_nash(game, play, args.epsilon)
+        extra, rejected_gains = {}, classical.deviation_gains
     else:
         play = gamedoc.parse_play(_read(args.play), game.dims)
         certificate = quantum.verify_epsilon_nash_quantum(
             game, play, args.epsilon, num_probes=args.probes, seed=args.seed
         )
-        extra = {"probes_per_player": args.probes}
+        extra, rejected_gains = {"probes_per_player": args.probes}, quantum.quantum_deviation_gains
         if certificate is not None:
-            gains = certificate.per_player_gain
             extra["max_probe_gain"] = certificate.max_probe_gain
-        else:
-            gains = quantum.quantum_deviation_gains(game, play)
-        doc = _certificate_doc(certificate is not None, args.epsilon, gains, extra)
-    gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
-    return 0 if doc["accepted"] else 1
+    gains = certificate.per_player_gain if certificate is not None else rejected_gains(game, play)
+    _write_doc(args.out, {"kind": "certificate", "accepted": certificate is not None,
+                          "epsilon": args.epsilon, "per_player_gain": gains, **extra})
+    return 0 if certificate is not None else 1
 
 
 def _cmd_geometry(args) -> int:
@@ -147,63 +130,52 @@ def _cmd_geometry(args) -> int:
         hull=hull,
     )
     extremes = geometry.extreme_points(hull, points)
-    doc = {
+    _write_doc(args.out, {
         "kind": "geometry_report",
-        "num_points": int(points.shape[0]),
-        "hull_vertices": int(hull.vertices.shape[0]),
-        "hull_facets": int(hull.facets.shape[0]),
+        "num_points": points.shape[0],
+        "hull_vertices": hull.vertices.shape[0],
+        "hull_facets": hull.facets.shape[0],
         "extreme_fraction": extremes.fraction,
-        "coincidence": {
-            "fraction": report.fraction,
-            "delta": report.delta,
-            "num_boundary_samples": report.num_boundary_samples,
-            "threshold": report.threshold,
-            "coincident": report.coincident,
-            "status": report.status,
-        },
-    }
-    gamedoc.write_text_atomic(args.out, gamedoc.canonical_json(doc) + "\n")
+        "coincidence": dataclasses.asdict(report),
+    })
     return 0
 
 
-# the flags each build kind reads, with their defaults; every other kind refuses them
-_BUILD_FLAGS = {
-    "grover": {"n_qubits": 2, "target_index": 0, "split": "1,1", "iterations": 1},
-    "adiabatic": {"s": 0.0},
+def _grover_text(args) -> str:
+    try:
+        split = tuple(int(p) for p in args.split.split(","))
+    except ValueError:
+        split = ()
+    if len(split) != 2:
+        raise gamedoc.DocumentError("--split", "expected two comma-separated counts")
+    return gamedoc.serialize_game(builders.build_grover_game(
+        args.n_qubits, args.target_index, split, iterations=args.iterations))
+
+
+# each build kind: the flags it reads, with their defaults (every other kind
+# refuses them), and the function from the parsed arguments to its document text
+_BUILDS = {
+    "bell-state-prep": ({}, lambda args: gamedoc.serialize_game(
+        builders.bell_state_preparation_demo())),
+    "grover": ({"n_qubits": 2, "target_index": 0, "split": "1,1", "iterations": 1},
+               _grover_text),
+    "adiabatic": ({"s": 0.0}, lambda args: gamedoc.serialize_game(
+        builders.build_adiabatic_game(builders.demo_adiabatic_schedule(), args.s))),
+    "alignment-demo": ({}, lambda args: gamedoc.serialize_game(quantum.alignment_demo_game())),
+    "schedule": ({}, lambda args: gamedoc.serialize_schedule(
+        builders.demo_adiabatic_schedule())),
 }
 
 
 def _cmd_build(args) -> int:
-    reads = _BUILD_FLAGS.get(args.kind, {})
-    for name in chain(*_BUILD_FLAGS.values()):
+    reads, text = _BUILDS[args.kind]
+    for name in (name for flags, _ in _BUILDS.values() for name in flags):
         if getattr(args, name) is None:
             setattr(args, name, reads.get(name))
         elif name not in reads:
             raise gamedoc.DocumentError("--" + name.replace("_", "-"),
                                         f"not read by --kind {args.kind}")
-    if args.kind == "bell-state-prep":
-        text = gamedoc.serialize_game(builders.bell_state_preparation_demo())
-    elif args.kind == "grover":
-        try:
-            split = tuple(int(p) for p in args.split.split(","))
-        except ValueError:
-            split = ()
-        if len(split) != 2:
-            raise gamedoc.DocumentError("--split", "expected two comma-separated counts")
-        game = builders.build_grover_game(
-            args.n_qubits, args.target_index, split, iterations=args.iterations
-        )
-        text = gamedoc.serialize_game(game)
-    elif args.kind == "adiabatic":
-        game = builders.build_adiabatic_game(builders.demo_adiabatic_schedule(), args.s)
-        text = gamedoc.serialize_game(game)
-    elif args.kind == "alignment-demo":
-        text = gamedoc.serialize_game(quantum.alignment_demo_game())
-    elif args.kind == "schedule":
-        text = gamedoc.serialize_schedule(builders.demo_adiabatic_schedule())
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown build kind {args.kind!r}")
-    gamedoc.write_text_atomic(args.out, text + "\n")
+    _write_doc(args.out, text(args))
     return 0
 
 
@@ -220,13 +192,12 @@ def _cmd_sweep(args) -> int:
     )
     gamedoc.write_sweep_csv(args.out, report.rows)
     if args.report_out:
-        doc = {
+        _write_doc(args.report_out, {
             "kind": "sweep_report",
             "rows": report.num_rows,
             "converged": report.converged,
             "verified": report.verified,
-        }
-        gamedoc.write_text_atomic(args.report_out, gamedoc.canonical_json(doc) + "\n")
+        })
     return 0
 
 
@@ -275,11 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     geom.set_defaults(func=_cmd_geometry)
 
     build = sub.add_parser("build", help="emit a bundled document")
-    build.add_argument(
-        "--kind",
-        required=True,
-        choices=["bell-state-prep", "grover", "adiabatic", "alignment-demo", "schedule"],
-    )
+    build.add_argument("--kind", required=True, choices=list(_BUILDS))
     # None: not given; _cmd_build applies the kind's default or refuses the flag
     build.add_argument("--n-qubits", type=int, help="grover only (default 2)")
     build.add_argument("--target-index", type=int, help="grover only (default 0)")

@@ -121,7 +121,9 @@ def _format_reals(x: np.ndarray, template: str) -> str:
 
 # ---------------------------------------------------------------- parsing ---
 
-def _load(text: str) -> dict:
+def _load(text: str, *kinds: str) -> dict:
+    """The document in ``text``, refused unless it is a JSON object whose header
+    holds this schema version and one of ``kinds``, checked in that order."""
     # the [re, im] lists json.loads keeps (65,536 at d=256) trigger futile full collections
     enabled = gc.isenabled()
     gc.disable()
@@ -134,15 +136,18 @@ def _load(text: str) -> dict:
             gc.enable()
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be an object")
-    return doc
-
-
-def _expect_kind(doc: dict, kind: str) -> None:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DocumentError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    if doc.get("kind") != kind:
-        raise DocumentError("kind", f"expected {kind!r}, got {doc.get('kind')!r}")
+    if doc.get("kind") not in kinds:
+        raise DocumentError("kind", f"expected {' or '.join(map(repr, kinds))}, "
+                                    f"got {doc.get('kind')!r}")
+    return doc
+
+
+def _document(kind: str, **fields) -> str:
+    """Canonical text of a ``kind`` document: the schema header, then ``fields`` in order."""
+    return canonical_json({"schema_version": SCHEMA_VERSION, "kind": kind, **fields})
 
 
 def _real(value, path: str) -> float:
@@ -250,19 +255,7 @@ def _nested_shape(value, shape: tuple[int, ...], path: str) -> np.ndarray:
     )
 
 
-def parse_game(text: str) -> FiniteGame | QuantumGame:
-    """Parse a game document, validating structure, norms, and unitarity."""
-    doc = _load(text)
-    kind = doc.get("kind")
-    if kind == "finite":
-        return _parse_finite(doc)
-    if kind == "quantum":
-        return _parse_quantum(doc)
-    raise DocumentError("kind", f"expected 'finite' or 'quantum', got {kind!r}")
-
-
 def _parse_finite(doc: dict) -> FiniteGame:
-    _expect_kind(doc, "finite")
     counts = tuple(
         _int(v, f"strategy_counts[{k}]", minimum=1)
         for k, v in enumerate(_list(doc.get("strategy_counts"), "strategy_counts"))
@@ -285,7 +278,6 @@ def _parse_finite(doc: dict) -> FiniteGame:
 
 
 def _parse_quantum(doc: dict) -> QuantumGame:
-    _expect_kind(doc, "quantum")
     dims = tuple(
         _int(v, f"dims[{k}]", minimum=2)
         for k, v in enumerate(_list(doc.get("dims"), "dims"))
@@ -322,38 +314,31 @@ def _parse_quantum(doc: dict) -> QuantumGame:
     return QuantumGame(dims, unitary, specs)
 
 
+_GAME_PARSERS = {"finite": _parse_finite, "quantum": _parse_quantum}
+
+
+def parse_game(text: str) -> FiniteGame | QuantumGame:
+    """Parse a game document, validating structure, norms, and unitarity."""
+    doc = _load(text, *_GAME_PARSERS)
+    return _GAME_PARSERS[doc["kind"]](doc)
+
+
 def serialize_game(game: FiniteGame | QuantumGame) -> str:
     """Canonical document text for a game."""
     if isinstance(game, FiniteGame):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "finite",
-            "strategy_counts": list(game.strategy_counts),
-            "payoff_tensors": list(game.payoff_tensors),
-        }
-        return canonical_json(doc)
+        return _document("finite", strategy_counts=game.strategy_counts,
+                         payoff_tensors=game.payoff_tensors)
     if isinstance(game, QuantumGame):
-        payoffs = []
-        for spec in game.payoffs:
-            if isinstance(spec, OverlapPayoff):
-                payoffs.append({"overlap": spec.target.amplitudes})
-            else:
-                payoffs.append({"observable": spec.eigenvalues})
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "quantum",
-            "dims": list(game.dims),
-            "unitary": game.unitary.matrix,
-            "payoffs": payoffs,
-        }
-        return canonical_json(doc)
+        payoffs = [{"overlap": spec.target.amplitudes} if isinstance(spec, OverlapPayoff)
+                   else {"observable": spec.eigenvalues} for spec in game.payoffs]
+        return _document("quantum", dims=game.dims, unitary=game.unitary.matrix,
+                         payoffs=payoffs)
     raise TypeError(f"cannot serialize {type(game).__name__}")
 
 
 def parse_play(text: str, dims: Sequence[int] | None = None) -> ProductPlay:
     """Parse a product play; factors within the window are renormalized."""
-    doc = _load(text)
-    _expect_kind(doc, "play")
+    doc = _load(text, "play")
     factors_raw = _list(doc.get("factors"), "factors")
     if len(factors_raw) < 2:
         raise DocumentError("factors", "a play needs at least two factors")
@@ -368,17 +353,11 @@ def parse_play(text: str, dims: Sequence[int] | None = None) -> ProductPlay:
 
 
 def serialize_play(play: ProductPlay) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "play",
-        "factors": [f.amplitudes for f in play.factors],
-    }
-    return canonical_json(doc)
+    return _document("play", factors=[f.amplitudes for f in play.factors])
 
 
 def parse_profile(text: str, counts: Sequence[int] | None = None) -> MixedProfile:
-    doc = _load(text)
-    _expect_kind(doc, "profile")
+    doc = _load(text, "profile")
     dists_raw = _list(doc.get("distributions"), "distributions")
     if counts is not None and len(dists_raw) != len(counts):
         raise DocumentError(
@@ -398,17 +377,11 @@ def parse_profile(text: str, counts: Sequence[int] | None = None) -> MixedProfil
 
 
 def serialize_profile(profile: MixedProfile) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "profile",
-        "distributions": [list(map(float, d)) for d in profile.distributions],
-    }
-    return canonical_json(doc)
+    return _document("profile", distributions=profile.distributions)
 
 
 def parse_schedule(text: str) -> AdiabaticSchedule:
-    doc = _load(text)
-    _expect_kind(doc, "schedule")
+    doc = _load(text, "schedule")
     h_initial = _complex_matrix(doc.get("h_initial"), "h_initial")
     h_final = _complex_matrix(doc.get("h_final"), "h_final", h_initial.shape[0])
     try:
@@ -425,15 +398,9 @@ def parse_schedule(text: str) -> AdiabaticSchedule:
 
 
 def serialize_schedule(schedule: AdiabaticSchedule) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "schedule",
-        "h_initial": schedule.h_initial.matrix,
-        "h_final": schedule.h_final.matrix,
-        "s_values": [float(s) for s in schedule.s_values],
-        "time": float(schedule.time),
-    }
-    return canonical_json(doc)
+    return _document("schedule", h_initial=schedule.h_initial.matrix,
+                     h_final=schedule.h_final.matrix, s_values=schedule.s_values,
+                     time=schedule.time)
 
 
 # ----------------------------------------------------------------- output ---

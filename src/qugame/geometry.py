@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .linalg import PureState, _as_vector, _bloch_rows, as_rng, fubini_study_distance
+from .linalg import PureState, _as_vector, _bloch_rows, _unit_norm, as_rng, fubini_study_distance
 
 __all__ = [
     "bloch_embedding",
@@ -37,11 +37,12 @@ __all__ = [
 
 
 def bloch_embedding(state) -> np.ndarray:
-    """Unit-sphere image (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of a qubit state."""
+    """Unit-sphere image (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2) of a qubit state; a
+    raw vector off the unit norm is refused as :class:`PureState` refuses it."""
     v = state.amplitudes if isinstance(state, PureState) else _as_vector(state)
     if v.size != 2:
         raise ValueError(f"the sphere embedding takes qubit states, got dimension {v.size}")
-    return _bloch_rows(v)[1:]
+    return _bloch_rows(v if isinstance(state, PureState) else _unit_norm(v))[1:]
 
 
 def great_circle_distance(u: np.ndarray, v: np.ndarray) -> float:

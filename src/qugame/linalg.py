@@ -56,6 +56,14 @@ def _as_vector(v) -> np.ndarray:
     return arr
 
 
+def _unit_norm(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as it is, refused unless its norm is within ``Tolerances.unit_norm`` of 1."""
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > DEFAULT_TOLS.unit_norm:
+        raise ValueError(f"state vector is not unit norm: |v| = {norm!r}")
+    return arr
+
+
 def _fixed_phase(arr: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the first significant amplitude is real positive."""
     for k, a in enumerate(arr):
@@ -108,10 +116,7 @@ class PureState:
         arr = np.array(_as_vector(self.amplitudes), dtype=np.complex128)
         if arr.size < 2:
             raise ValueError("a qudit state needs dimension >= 2")
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > DEFAULT_TOLS.unit_norm:
-            raise ValueError(f"state vector is not unit norm: |v| = {norm!r}")
-        arr = _fixed_phase(arr)
+        arr = _fixed_phase(_unit_norm(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -180,10 +185,6 @@ class HermitianOperator(_SquareOperator):
         defect = np.abs(m - m.conj().T).max()
         if defect > DEFAULT_TOLS.hermiticity:
             raise ValueError(f"matrix is not Hermitian: max |H - H^H| = {defect:.3e}")
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and the matching orthonormal eigenvector columns."""
-        return np.linalg.eigh(self.matrix)
 
 
 @_frozen
@@ -312,7 +313,7 @@ def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> U
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
-    w, v = op.eigensystem()
+    w, v = np.linalg.eigh(op.matrix)
     u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
     return UnitaryOperator(u)
 

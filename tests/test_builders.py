@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import qugame.quantum as qq
 from qugame import builders as bld
-from qugame.linalg import HermitianOperator, PureState, haar_random_state
+from qugame.linalg import HermitianOperator, PureState, UnitaryOperator, haar_random_state
 
 
 # ------------------------------------------------------- state preparation ---
@@ -65,6 +65,16 @@ def test_grover_iterate_is_unitary_and_composes():
     assert_allclose(one.conj().T @ one, np.eye(4), atol=1e-12)
     two = bld.build_grover_game(2, 1, (1, 1), iterations=2).unitary.matrix
     assert_allclose(two, one @ one, atol=1e-13)
+
+
+@pytest.mark.parametrize("iterations,checks", [(1, 1), (2, 2)])
+def test_grover_game_checks_each_distinct_matrix_once(monkeypatch, iterations, checks):
+    calls = []
+    real = UnitaryOperator._check_defect
+    monkeypatch.setattr(UnitaryOperator, "_check_defect",
+                        staticmethod(lambda m: calls.append(m.shape) or real(m)))
+    bld.build_grover_game(3, 5, (1, 2), iterations=iterations)
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 7))

@@ -258,6 +258,48 @@ def test_sweep_bytes_are_pinned(tmp_path):
     assert sha256_of(out, report) == SWEEP_DIGESTS
 
 
+# sha256 of finite `solve` and `verify` on a seeded 4x3 game, and of `geometry`
+# on a seeded 1,000-point sphere cloud, as written while the CLI converted each
+# report's reals to Python floats before handing them to canonical_json
+FINITE_DIGESTS = {
+    "solve": "1545e5c61d191958e5987bfbfd70cb80df2af6b020c3b88aa02c9d038f0ae12d",
+    "accepted": "2df3430f88f491203676fb554f8616f1b0097d2c6b71b3062425a695a3c2cee1",
+    "rejected": "414dfa5770d1b376cb1c06b6f2f96fd31f5d0d08e699fb4757ba021f87b54250",
+}
+GEOMETRY_DIGEST = "485dd7a8577763fb9fe1aa67565d1652c70ee675d6efeb116088ad3c24d679fe"
+
+
+def test_finite_solve_and_verify_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(4)
+    game = FiniteGame([rng.standard_normal((4, 3)), rng.standard_normal((4, 3))])
+    path = tmp_path / "finite.json"
+    path.write_text(gd.serialize_game(game) + "\n")
+    out = tmp_path / "out.json"
+    assert run("solve", "--input", path, "--out", out) == 0
+    assert sha256_of(out) == (FINITE_DIGESTS["solve"],)
+    profiles = {
+        "accepted": classical.support_enumeration_nash(game)[0].profile,
+        "rejected": classical.MixedProfile([np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0])]),
+    }
+    for name, profile in profiles.items():
+        prof = tmp_path / f"{name}.json"
+        prof.write_text(gd.serialize_profile(profile) + "\n")
+        rc = run("verify", "--input", path, "--play", prof, "--out", out)
+        assert rc == (0 if name == "accepted" else 1)
+        assert sha256_of(out) == (FINITE_DIGESTS[name],)
+
+
+def test_geometry_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(11)
+    points = rng.standard_normal((1000, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    cloud, out = tmp_path / "cloud.csv", tmp_path / "geo.json"
+    gd.write_point_cloud(cloud, points)
+    assert run("geometry", "--input", cloud, "--boundary-samples", 400, "--seed", 5,
+               "--out", out) == 0
+    assert sha256_of(out) == (GEOMETRY_DIGEST,)
+
+
 # ----------------------------------------------------------------- solve ---
 
 def test_solve_finite_matching_pennies(tmp_path):

@@ -129,6 +129,13 @@ def test_schema_version_and_kind_are_enforced():
         gd.parse_schedule(doc)
 
 
+@pytest.mark.parametrize("parse", [gd.parse_game, gd.parse_play, gd.parse_profile,
+                                   gd.parse_schedule], ids=lambda f: f.__name__)
+def test_a_bad_version_is_refused_before_a_bad_kind(parse):
+    with pytest.raises(gd.DocumentError, match=r"^schema_version: expected 1, got 2$"):
+        parse('{"schema_version":2,"kind":"nope"}')
+
+
 def test_parse_rejects_invalid_json_and_non_objects():
     with pytest.raises(gd.DocumentError, match="not valid JSON"):
         gd.parse_game("nope")

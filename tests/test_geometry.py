@@ -48,6 +48,17 @@ def test_bloch_embedding_is_unit_and_phase_free():
         assert_allclose(geo.bloch_embedding(rotated), b, atol=1e-12)
 
 
+# a raw vector off the unit norm has no point on the sphere: [1, 1] would land
+# on [2, 0, 0], and isometry_check would then blame a `u` its caller never passed
+def test_bloch_embedding_refuses_a_raw_vector_off_the_unit_norm():
+    message = r"^state vector is not unit norm: \|v\| = 1\.4142135623730951$"
+    with pytest.raises(ValueError, match=message):
+        geo.bloch_embedding([1, 1])
+    with pytest.raises(ValueError, match=message):
+        geo.isometry_check([([1, 1], [1, 0])])
+    assert geo.isometry_check([([1, 0], [0, 1j])]).max_deviation == 0.0
+
+
 def scalar_bloch_embedding(v):
     """The embedding as first written, one numpy scalar at a time."""
     a, b = v[0], v[1]

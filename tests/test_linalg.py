@@ -38,6 +38,12 @@ def test_pure_state_requires_unit_norm():
         PureState([0.0, 0.0])
 
 
+def test_pure_state_refusal_prints_the_norm_as_a_plain_float():
+    with pytest.raises(ValueError) as refusal:
+        PureState([1, 1])
+    assert str(refusal.value) == "state vector is not unit norm: |v| = 1.4142135623730951"
+
+
 def test_pure_state_requires_dimension_two():
     with pytest.raises(ValueError, match="dimension"):
         PureState([1.0])
