@@ -20,7 +20,6 @@ __all__ = [
     "MixedProfile",
     "EquilibriumCertificate",
     "ConvexityReport",
-    "expected_payoff",
     "pure_deviation_payoffs",
     "counters",
     "deviation_gains",
@@ -145,11 +144,6 @@ def pure_deviation_payoffs(game: FiniteGame, profile: MixedProfile, i: int) -> n
     """Player ``i``'s expected payoff for each own pure strategy, others fixed."""
     _check_compatible(game, profile)
     return _deviation_payoffs(game.payoff_tensors[i], profile.distributions, i)
-
-
-def expected_payoff(game: FiniteGame, profile: MixedProfile, i: int) -> float:
-    """Expected payoff of player ``i``: own pure deviation payoffs weighted by own distribution."""
-    return float(pure_deviation_payoffs(game, profile, i) @ profile.distributions[i])
 
 
 def _countering_floors(game: FiniteGame, p: MixedProfile) -> tuple[list[np.ndarray], list[float]]:
@@ -294,10 +288,6 @@ class ConvexityReport:
     failures: int
     rejected_draws: int
     shortfall: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0 and not self.shortfall
 
 
 def verify_countering_convexity(

@@ -137,7 +137,7 @@ def _load(text: str, *kinds: str) -> dict:
     if not isinstance(doc, dict):
         raise DocumentError("$", "document root must be an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:   # true and 1.0 equal 1
         raise DocumentError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
     if doc.get("kind") not in kinds:
         raise DocumentError("kind", f"expected {' or '.join(map(repr, kinds))}, "

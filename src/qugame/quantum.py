@@ -200,35 +200,41 @@ def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     return complex(_payoff_of(game.payoffs[i], prepared_vector(game, game.check_play(play))))
 
 
-def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Player ``i``'s payoff as a form in their slot vector q, for each row of the
-    others' ``(k, dims[j])`` factor stacks (a one-row stack broadcasts): rows v =
-    W^H target (payoff <v, q>) for an overlap player, shape (k, dims[i]), or the
-    Hermitian M = W^H diag(eigenvalues) W (payoff <q, M q>) for an observable one,
-    shape (k, dims[i], dims[i]), where W, shape (joint, dims[i]), gives
-    prepared_vector == W @ q.
-
-    W contracts U's column axes with the opponents' factors: O(d^2) time per row
-    at joint dimension d, no joint operator formed, a (k, joint, dims[i]) complex
-    intermediate for two players (with more, the first contraction holds
-    k * d^2 / dims[j] entries for the last opponent j; :func:`_dynamics` bounds k
-    by ``STACK_ENTRIES``). Each row is contracted by the same matrix-vector
-    products as a one-row stack, so rows keep their bits.
-    """
+def _slot_map(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """W, shape (k, joint, dims[i]), with prepared_vector == W @ q for player ``i``'s slot
+    vector q against each row of the others' ``(k, dims[j])`` factor stacks (a one-row
+    stack broadcasts). W contracts U's column axes with the opponents' factors: O(d^2)
+    time per row at joint dimension d, no joint operator formed (with more than two
+    players, the first contraction holds k * d^2 / dims[j] entries for the last opponent
+    j; :func:`_dynamics` bounds k by ``STACK_ENTRIES``). The last remaining axis is
+    contracted by one matrix-vector product per stack row, the one before player i's
+    (once theirs is last) by batched products on swapped axes; a one-row stack takes the
+    same products, so rows keep their bits (one product over all k rows would not)."""
     dims = game.dims
     w = game.unitary.matrix.reshape((1, game.joint_dimension, *dims))
-    # highest axis first keeps the lower axis numbers valid; matmul reads the view uncopied
-    for j in reversed(range(len(dims))):
-        if j != i:
-            f = factors[j]
+    # highest axis first keeps the lower axis numbers valid; matmul reads the views uncopied
+    for j in reversed([j for j in range(len(dims)) if j != i]):
+        f = factors[j]
+        if j + 3 == w.ndim:   # axis j is the last one
+            w = (w.reshape(len(w), -1, dims[j]) @ f[..., None]).reshape(-1, *w.shape[1:-1])
+        else:   # player i's axis is last: a swap is moveaxis(w, j + 2, -1)
             column = f.reshape(len(f), *[1] * (w.ndim - 3), -1, 1)
-            # axis j is the last but at most one (player i's): a swap is moveaxis(w, j + 2, -1)
             w = (w.swapaxes(j + 2, -1) @ column)[..., 0]
+    return w
+
+
+def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Player ``i``'s payoff as a form in their slot vector q, for each row of the others'
+    factor stacks, from :func:`_slot_map`'s W: rows v = W^H target (payoff <v, q>) for an
+    overlap player, shape (k, dims[i]), or the Hermitian M = W^H diag(eigenvalues) W
+    (payoff <q, M q>) for an observable one, shape (k, dims[i], dims[i])."""
+    w = _slot_map(game, factors, i)
     spec = game.payoffs[i]
     if isinstance(spec, OverlapPayoff):
         return (spec.target.amplitudes.conj() @ w).conj()
     m = w.conj().swapaxes(-1, -2) @ (spec.eigenvalues[:, None] * w)
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))  # symmetrize away rounding noise
+    # symmetrize away rounding noise, halving first so entries near the float maximum stay finite
+    return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
 
 
 def _slot_optimum(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> tuple:
@@ -571,7 +577,7 @@ def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
     return np.array([(attainable - current)[0] for _, attainable, current in optima])
 
 
-MAX_PROBES = 1024   # two (joint, 1 + MAX_PROBES) complex stacks: 134 MB at joint dimension 4,096
+MAX_PROBES = 1024   # W and a (joint, 1 + MAX_PROBES) stack: 71-201 MB at joint dimension 4,096
 
 
 def _check_verify_args(epsilon: float, num_probes: int) -> None:
@@ -597,19 +603,19 @@ def verify_epsilon_nash_quantum(
     closed-form optimum, so a probe gain above epsilon means rejection was
     correct anyway, and the recorded maximum makes the certificate auditable.
     Each player's probes (players in index order) are drawn as one array, bit
-    for bit ``num_probes`` Haar states and their rng stream, and prepared as
-    one column stack by :func:`prepared_vector`, independently of the analytic gains.
+    for bit ``num_probes`` Haar states and their rng stream, and prepared by one
+    product with player i's W of :func:`_slot_map` (column 0 is the play's factor).
+    They share only W with the analytic gains, not its form, eigensolver or normalization.
     """
     _check_verify_args(epsilon, num_probes)
-    factors = game.check_play(play)
+    rows = _play_rows(game, play)
     gains = quantum_deviation_gains(game, play)
     rng = as_rng(seed)
     max_probe = -math.inf if num_probes else 0.0
     for i, spec in enumerate(game.payoffs if num_probes else ()):
         (probes,) = _haar_rows((game.dims[i],), num_probes, rng)
-        columns = [f[:, None] for f in factors]
-        columns[i] = np.vstack([factors[i], probes]).T  # column 0: the play
-        values = _payoff_of(spec, prepared_vector(game, columns))  # one payoff per column
+        columns = np.vstack([rows[i], probes]).T  # column 0: the play
+        values = _payoff_of(spec, _slot_map(game, rows, i)[0] @ columns)  # one per column
         values = np.abs(values) if isinstance(spec, OverlapPayoff) else values
         max_probe = max(max_probe, float(values[1:].max() - values[0]))
     if gains.max() <= epsilon and max_probe <= epsilon:

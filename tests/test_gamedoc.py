@@ -136,6 +136,14 @@ def test_a_bad_version_is_refused_before_a_bad_kind(parse):
         parse('{"schema_version":2,"kind":"nope"}')
 
 
+@pytest.mark.parametrize("version, shown", [("true", "True"), ("1.0", "1.0")])
+def test_a_version_that_only_compares_equal_to_1_is_refused(version, shown):
+    # json reads both as values equal to 1, and re-serializing would write 1
+    play = gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([0, 1]))))
+    with pytest.raises(gd.DocumentError, match=rf"^schema_version: expected 1, got {re.escape(shown)}$"):
+        gd.parse_play(play.replace('"schema_version":1', f'"schema_version":{version}'))
+
+
 def test_parse_rejects_invalid_json_and_non_objects():
     with pytest.raises(gd.DocumentError, match="not valid JSON"):
         gd.parse_game("nope")

@@ -563,6 +563,25 @@ def test_each_stack_row_is_the_one_row_kernel(dims, observable, k, seed):
             assert np.abs(best[r] - qq._best_rows(game, rows, i)[0]).max() <= 1e-15
 
 
+@pytest.mark.parametrize("dims", [(32, 32), (2, 512), (512, 2)])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_stack_rows_at_joint_dimension_1024_are_the_one_play_kernel_bit_for_bit(dims, seed):
+    # sizes where BLAS may split one product across threads; both payoff kinds per player
+    rng = np.random.default_rng(seed)
+    unitary = haar_random_unitary(1024, rng)
+    overlap = qq.OverlapPayoff(haar_random_state(1024, rng))
+    observable = qq.ObservablePayoff(rng.standard_normal(1024))
+    stacks = _haar_rows(dims, 5, rng)
+    for specs in [(overlap, observable), (observable, overlap)]:
+        game = qq.QuantumGame(dims, unitary, specs)
+        for i in range(2):
+            form = qq._slot_form(game, stacks, i)
+            for r in range(5):
+                one_row = qq._slot_form(game, [s[r:r + 1] for s in stacks], i)[0]
+                assert form[r].tobytes() == one_row.tobytes()
+                assert form[r].tobytes() == scalar_slot_form(game, [s[r] for s in stacks], i).tobytes()
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3, 2), (4, 4)])
 def test_deviation_gains_are_the_one_play_gains_bit_for_bit(dims):
     # 50 seeded games per shape, each player's payoff kind drawn at random
@@ -846,6 +865,79 @@ def test_max_probe_gain_matches_probe_by_probe_recomputation():
     assert cert is not None
     assert cert.max_probe_gain == pytest.approx(best, abs=1e-12)
     assert verify_rng.standard_normal() == probe_rng.standard_normal()
+
+
+def kron_probe_payoffs(game, factors, i, columns):
+    """Player ``i``'s payoff for each column of ``columns`` in their slot, the others
+    playing ``factors``: read off prepared_vector of the Kronecker column stack."""
+    stacks = [f[:, None] for f in factors]
+    stacks[i] = columns
+    return qq._payoff_of(game.payoffs[i], qq.prepared_vector(game, stacks))
+
+
+def kron_verify(game, play, epsilon, num_probes, seed):
+    """Accept decision and max probe gain of verify_epsilon_nash_quantum, with every
+    probe prepared by prepared_vector of a Kronecker column stack."""
+    factors = game.check_play(play)
+    gains = qq.quantum_deviation_gains(game, play)
+    rng = np.random.default_rng(seed)
+    max_probe = -math.inf
+    for i, spec in enumerate(game.payoffs):
+        (probes,) = _haar_rows((game.dims[i],), num_probes, rng)
+        values = kron_probe_payoffs(game, factors, i, np.vstack([factors[i], probes]).T)
+        values = np.abs(values) if isinstance(spec, qq.OverlapPayoff) else values
+        max_probe = max(max_probe, float(values[1:].max() - values[0]))
+    return bool(gains.max() <= epsilon and max_probe <= epsilon), max_probe
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+def test_probe_payoffs_match_the_kronecker_column_stack(dims):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        game = random_game(dims, rng.integers(0, 2, size=len(dims)).astype(bool), rng)
+        play = scalar_random_play(game, rng)
+        factors = game.check_play(play)
+        rows = [f[None] for f in factors]
+        for i in range(len(dims)):
+            (probes,) = _haar_rows((dims[i],), 8, rng)
+            columns = np.vstack([factors[i], probes]).T
+            got = qq._payoff_of(game.payoffs[i], qq._slot_map(game, rows, i)[0] @ columns)
+            assert_allclose(got, kron_probe_payoffs(game, factors, i, columns), rtol=0, atol=1e-12)
+        # one epsilon below the largest analytic gain and one above it
+        gain = qq.quantum_deviation_gains(game, play).max()
+        for epsilon in (0.5 * gain, 2.0 * gain):
+            accepted, max_probe = kron_verify(game, play, epsilon, 16, seed)
+            cert = qq.verify_epsilon_nash_quantum(game, play, epsilon, num_probes=16, seed=seed)
+            assert (cert is not None) == accepted == (epsilon > gain)
+            if cert is not None:
+                assert cert.max_probe_gain == pytest.approx(max_probe, rel=0, abs=1e-12)
+
+
+def test_verify_prepares_no_joint_vector_stack(monkeypatch):
+    # each player's probes are prepared from their slot map W alone
+    def refuse(*args):
+        raise AssertionError("verification called prepared_vector")
+
+    game = bell_state_preparation_demo()
+    eq = ProductPlay((PureState([1, 0]), PureState([1, 0])))
+    monkeypatch.setattr(qq, "prepared_vector", refuse)
+    cert = qq.verify_epsilon_nash_quantum(game, eq, 1e-6, num_probes=16, seed=5)
+    assert cert is not None and cert.probes_per_player == 16
+
+
+@pytest.mark.parametrize("scale", [1e308, -1e308, 1.7e308, -1.7e308])
+def test_observable_payoffs_near_the_float_maximum_stay_finite(scale):
+    # M + M^H overflows at these eigenvalues; half of M plus half of M^H does not
+    bell = bell_state_preparation_demo()
+    spec = qq.ObservablePayoff(scale * np.array([1.0, 0.9, 1.0, 0.95]))
+    game = qq.QuantumGame(bell.dims, bell.unitary, (bell.payoffs[0], spec))
+    out = qq.iterated_best_response(game, seed=3)
+    assert out.converged
+    assert np.isfinite(out.trace[-1].payoffs).all()
+    assert np.isfinite(qq.quantum_deviation_gains(game, out.play)).all()
+    cert = qq.verify_epsilon_nash_quantum(game, out.play, 1e-12 * abs(scale))
+    assert cert is not None
+    assert np.isfinite([*cert.per_player_gain, cert.max_probe_gain]).all()
 
 
 def test_quantum_deviation_gains_at_bell_equilibrium():
