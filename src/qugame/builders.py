@@ -313,14 +313,7 @@ def bell_state_preparation_demo() -> QuantumGame:
     """Bundled two-qubit game whose referee prepares a maximally entangled state
     from the all-zeros product play; both players share that state as target."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    cnot = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
+    cnot = np.eye(4)[[0, 1, 3, 2]]   # swaps |10> and |11>
     q = cnot @ np.kron(h, np.eye(2))
     target = q @ np.array([1.0, 0.0, 0.0, 0.0])
     return build_state_preparation_game((2, 2), UnitaryOperator(q), (target, target))

@@ -290,6 +290,21 @@ class ConvexityReport:
     shortfall: bool
 
 
+SETTLE_PAIRS = 1024   # mixtures held before one pass checks and tests their rows
+
+
+def _countering_mixtures(forms, floors, held: list[tuple], left: Sequence[np.ndarray]) -> int:
+    """How many ``held`` mixtures counter (a pop holds its weights, then each player's rows
+    in pairs), once every held row and every row ``left`` queued passes the simplex check."""
+    weights, *tops = (np.concatenate(c) for c in zip(*held))
+    if any(r.min(initial=0) < -DEFAULT_TOLS.simplex_negative
+           or abs(r.sum(axis=1) - 1).max(initial=0) > DEFAULT_TOLS.simplex_sum
+           for r in [*tops, *left]):
+        raise ValueError("a Dirichlet draw left the probability simplex")
+    return int(np.all([(weights * t[0::2] + (1.0 - weights) * t[1::2]) @ form >= floor
+                       for t, form, floor in zip(tops, forms, floors)], axis=0).sum())
+
+
 def verify_countering_convexity(
     game: FiniteGame,
     base: MixedProfile,
@@ -306,7 +321,9 @@ def verify_countering_convexity(
     sampling, and the report flags a shortfall when the draw budget runs out.
 
     Accepted candidates stay rows of their Dirichlet blocks (one array per
-    player, popped from the end) and are mixed in bulk with plain arithmetic.
+    player, popped from the end). Only draws, filter and queue steer the loop;
+    the simplex check of every accepted row and the mixing test run in bulk per
+    ``SETTLE_PAIRS`` held mixtures and at the end, before any report is returned.
     """
     if num_samples < 0:   # before any draw
         raise ValueError(f"num_samples must be >= 0, got {num_samples!r}")
@@ -317,7 +334,8 @@ def verify_countering_convexity(
     rng = as_rng(seed)
     alphas = [np.ones(k) for k in game.strategy_counts]
     queue = [np.empty((0, k)) for k in game.strategy_counts]
-    performed = passes = failures = rejected = 0
+    held = [(np.empty((0, 1)), *queue)]   # an empty first pop: no settle sees none
+    performed = passes = rejected = settled = 0
     while performed < num_samples:
         draws = 0
         while len(queue[0]) < 2 and draws < max_draws_per_sample:
@@ -328,22 +346,17 @@ def verify_countering_convexity(
             for block, form, floor in zip(blocks, forms, floors):
                 keep &= block @ form >= floor
             rejected += batch - int(keep.sum())
-            accepted = [block[keep] for block in blocks]
-            if any(r.min(initial=0) < -DEFAULT_TOLS.simplex_negative
-                   or abs(r.sum(axis=1) - 1).max(initial=0) > DEFAULT_TOLS.simplex_sum
-                   for r in accepted):
-                raise ValueError("a Dirichlet draw left the probability simplex")
-            queue = [np.concatenate([q, r]) for q, r in zip(queue, accepted)]
+            queue = [np.concatenate([q, block[keep]]) for q, block in zip(queue, blocks)]
         if len(queue[0]) < 2:
-            return ConvexityReport(num_samples, performed, passes, failures, rejected, shortfall=True)
+            break
         # mix every pair held before the next refill: one uniform each, in pop order
         pairs = min(len(queue[0]) // 2, num_samples - performed)
-        weights = rng.uniform(size=pairs)[:, None]
-        tops = [q[::-1][:2 * pairs] for q in queue]
+        held.append((rng.uniform(size=(pairs, 1)), *(q[::-1][:2 * pairs] for q in queue)))
         queue = [q[:len(q) - 2 * pairs] for q in queue]
-        ok = np.all([(weights * t[0::2] + (1.0 - weights) * t[1::2]) @ form >= floor
-                     for t, form, floor in zip(tops, forms, floors)], axis=0)
         performed += pairs
-        passes += int(ok.sum())
-        failures += pairs - int(ok.sum())
-    return ConvexityReport(num_samples, performed, passes, failures, rejected, shortfall=False)
+        if performed - settled >= SETTLE_PAIRS:
+            passes += _countering_mixtures(forms, floors, held, ())
+            held, settled = held[:1], performed
+    passes += _countering_mixtures(forms, floors, held, queue)
+    return ConvexityReport(num_samples, performed, passes, performed - passes, rejected,
+                           shortfall=performed < num_samples)

@@ -302,13 +302,12 @@ def _parse_quantum(doc: dict) -> QuantumGame:
         if key == "overlap":
             vec = _complex_vector(value, f"{path}.overlap", joint)
             specs.append(OverlapPayoff(_unit_state(vec, f"{path}.overlap")))
-        elif key == "observable":
-            entries = _list(value, f"{path}.observable")
-            if len(entries) != joint:
-                raise DocumentError(
-                    f"{path}.observable", f"expected {joint} eigenvalues, got {len(entries)}"
-                )
-            specs.append(ObservablePayoff(_nested_shape(entries, (joint,), f"{path}.observable")))
+        elif key == "observable":   # a list of joint reals, else refused by _nested_shape
+            eigenvalues = _nested_shape(value, (joint,), f"{path}.observable")
+            try:
+                specs.append(ObservablePayoff(eigenvalues))
+            except ValueError as exc:   # an eigenvalue range past the float maximum
+                raise DocumentError(f"{path}.observable", str(exc)) from exc
         else:
             raise DocumentError(path, f"unknown payoff kind {key!r}")
     return QuantumGame(dims, unitary, specs)

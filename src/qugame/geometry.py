@@ -72,14 +72,9 @@ class IsometryReport:
 
 def isometry_check(pairs) -> IsometryReport:
     """Compare great-circle distance of embedded images with 2x projective distance."""
-    worst = 0.0
-    count = 0
-    for p, q in pairs:
-        gc = great_circle_distance(bloch_embedding(p), bloch_embedding(q))
-        fs = fubini_study_distance(p, q)
-        worst = max(worst, abs(gc - 2.0 * fs))
-        count += 1
-    return IsometryReport(pairs_checked=count, max_deviation=worst)
+    gaps = [abs(great_circle_distance(bloch_embedding(p), bloch_embedding(q))
+                - 2.0 * fubini_study_distance(p, q)) for p, q in pairs]
+    return IsometryReport(pairs_checked=len(gaps), max_deviation=max(gaps, default=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +273,7 @@ def sample_hull_boundary(
     hull: ConvexHull3D, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Uniform boundary samples: facets weighted by area, uniform per triangle."""
-    a = hull.vertices[hull.facets[:, 0]]
-    b = hull.vertices[hull.facets[:, 1]]
-    c = hull.vertices[hull.facets[:, 2]]
+    a, b, c = (hull.vertices[hull.facets[:, k]] for k in range(3))
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     weights = areas / areas.sum()
     chosen = rng.choice(len(areas), size=count, p=weights)

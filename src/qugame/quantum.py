@@ -94,6 +94,9 @@ class ObservablePayoff:
             raise ValueError("eigenvalues must form a nonempty real vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("eigenvalues must be finite")
+        # every gain and probe gain is at most max - min: refuse its overflow, found by halving
+        if 0.5 * arr.max() - 0.5 * arr.min() > 0.5 * np.finfo(np.float64).max:
+            raise ValueError("eigenvalue range max - min exceeds the float maximum")
         arr.setflags(write=False)
         object.__setattr__(self, "eigenvalues", arr)
 
@@ -223,12 +226,11 @@ def _slot_map(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.nd
     return w
 
 
-def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Player ``i``'s payoff as a form in their slot vector q, for each row of the others'
-    factor stacks, from :func:`_slot_map`'s W: rows v = W^H target (payoff <v, q>) for an
-    overlap player, shape (k, dims[i]), or the Hermitian M = W^H diag(eigenvalues) W
-    (payoff <q, M q>) for an observable one, shape (k, dims[i], dims[i])."""
-    w = _slot_map(game, factors, i)
+def _slot_form(game: QuantumGame, w: np.ndarray, i: int) -> np.ndarray:
+    """Player ``i``'s payoff as a form in their slot vector q, for each row of
+    :func:`_slot_map`'s W: rows v = W^H target (payoff <v, q>) for an overlap player,
+    shape (k, dims[i]), or the Hermitian M = W^H diag(eigenvalues) W (payoff <q, M q>)
+    for an observable one, shape (k, dims[i], dims[i])."""
     spec = game.payoffs[i]
     if isinstance(spec, OverlapPayoff):
         return (spec.target.amplitudes.conj() @ w).conj()
@@ -237,15 +239,15 @@ def _slot_form(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.n
     return 0.5 * m + 0.5 * m.conj().swapaxes(-1, -2)
 
 
-def _slot_optimum(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> tuple:
-    """Per row of the ``(k, dims[j])`` factor stacks: player ``i``'s raw best-response
-    direction, its payoff and the current factor f's payoff, from one
+def _slot_optimum(game: QuantumGame, w: np.ndarray, f: np.ndarray, i: int) -> tuple:
+    """Per row of :func:`_slot_map`'s W and of player ``i``'s ``(k, dims[i])`` factor stack
+    f: the raw best-response direction, its payoff and f's payoff, from one
     :func:`_slot_form` and at most one batched eigh. Overlap: the direction v pays
     |v| against |<v, f>|. Observable: M's top eigenvector pays the top eigenvalue
     against <f, M f>; in a degenerate top block the lowest-index vector is taken.
     Directions are neither normalized nor phase-fixed (see :func:`_best_rows`)."""
-    spec, f = game.payoffs[i], factors[i]
-    form = _slot_form(game, factors, i)
+    spec = game.payoffs[i]
+    form = _slot_form(game, w, i)
     if isinstance(spec, OverlapPayoff):
         inner = np.vecdot(form, f)   # as np.vdot
         return form, _row_norms(form), np.hypot(inner.real, inner.imag)
@@ -260,7 +262,7 @@ def _best_rows(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.n
     """Player ``i``'s canonical best response to each row of the factor stacks: the
     :func:`_slot_optimum` direction normalized and phase-fixed, except that an
     indifferent overlap row (|v| within tolerance) keeps its factor."""
-    direction, attainable, _ = _slot_optimum(game, factors, i)
+    direction, attainable, _ = _slot_optimum(game, _slot_map(game, factors, i), factors[i], i)
     if isinstance(game.payoffs[i], ObservablePayoff):
         return _unit_rows(direction, _row_norms(direction))
     moved = attainable > DEFAULT_TOLS.indifference   # attainable is |v|
@@ -280,14 +282,14 @@ def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndar
     """Vector ``v`` with ``payoff == np.vdot(v, q)`` when player ``i`` plays slot state q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, OverlapPayoff)
-    return _slot_form(game, _play_rows(game, play), i)[0]
+    return _slot_form(game, _slot_map(game, _play_rows(game, play), i), i)[0]
 
 
 def effective_observable(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
     """Hermitian matrix M with ``payoff == <q, M q>`` when player ``i`` plays slot state q,
     in O(d^2) time at joint dimension d with no joint operator (:func:`_slot_form`)."""
     _spec_of(game, i, ObservablePayoff)
-    return _slot_form(game, _play_rows(game, play), i)[0]
+    return _slot_form(game, _slot_map(game, _play_rows(game, play), i), i)[0]
 
 
 def best_response_overlap(game: QuantumGame, play: ProductPlay, i: int) -> PureState:
@@ -567,14 +569,30 @@ class QuantumEquilibriumCertificate:
             raise ValueError("certificate epsilon is below the recorded gains")
 
 
+def _deviations(game: QuantumGame, play: ProductPlay, num_probes: int, rng) -> tuple:
+    """The gains and the largest probe gain (0.0 without probes) from one :func:`_slot_map`
+    W per player, in index order: the gain read off W, then ``num_probes`` Haar probes
+    prepared by one product with the same W (column 0 is the play's factor)."""
+    rows, gains, probe_gains = _play_rows(game, play), [], []
+    for i, spec in enumerate(game.payoffs):
+        w = _slot_map(game, rows, i)
+        _, attainable, current = _slot_optimum(game, w, rows[i], i)
+        gains.append((attainable - current)[0])
+        if num_probes:
+            (probes,) = _haar_rows((game.dims[i],), num_probes, rng)
+            values = _payoff_of(spec, w[0] @ np.vstack([rows[i], probes]).T)
+            values = np.abs(values) if isinstance(spec, OverlapPayoff) else values
+            probe_gains.append(float(values[1:].max() - values[0]))
+        del w   # one W at a time: 134 MB at joint dimension 4,096 split 1,11
+    return np.array(gains), max(probe_gains, default=0.0)
+
+
 def quantum_deviation_gains(game: QuantumGame, play: ProductPlay) -> np.ndarray:
     """Attainable unilateral improvement per player: what :func:`_slot_optimum`'s
     best response pays minus what the current factor f pays, |v| - |<v, f>| for
     an overlap player (the exact projective optimum gap, nonnegative) and the top
     eigenvalue of the effective observable M minus <f, M f> for an observable one."""
-    rows = _play_rows(game, play)
-    optima = [_slot_optimum(game, rows, i) for i in range(game.num_players)]
-    return np.array([(attainable - current)[0] for _, attainable, current in optima])
+    return _deviations(game, play, 0, None)[0]
 
 
 MAX_PROBES = 1024   # W and a (joint, 1 + MAX_PROBES) stack: 71-201 MB at joint dimension 4,096
@@ -602,22 +620,12 @@ def verify_epsilon_nash_quantum(
     player as a redundant check: a sampled deviation can never beat the
     closed-form optimum, so a probe gain above epsilon means rejection was
     correct anyway, and the recorded maximum makes the certificate auditable.
-    Each player's probes (players in index order) are drawn as one array, bit
-    for bit ``num_probes`` Haar states and their rng stream, and prepared by one
-    product with player i's W of :func:`_slot_map` (column 0 is the play's factor).
-    They share only W with the analytic gains, not its form, eigensolver or normalization.
+    Each player's probes are drawn as one array, bit for bit ``num_probes`` Haar
+    states and their rng stream; they share one W with the player's gain (see
+    :func:`_deviations`), not its form, eigensolver or normalization.
     """
     _check_verify_args(epsilon, num_probes)
-    rows = _play_rows(game, play)
-    gains = quantum_deviation_gains(game, play)
-    rng = as_rng(seed)
-    max_probe = -math.inf if num_probes else 0.0
-    for i, spec in enumerate(game.payoffs if num_probes else ()):
-        (probes,) = _haar_rows((game.dims[i],), num_probes, rng)
-        columns = np.vstack([rows[i], probes]).T  # column 0: the play
-        values = _payoff_of(spec, _slot_map(game, rows, i)[0] @ columns)  # one per column
-        values = np.abs(values) if isinstance(spec, OverlapPayoff) else values
-        max_probe = max(max_probe, float(values[1:].max() - values[0]))
+    gains, max_probe = _deviations(game, play, num_probes, as_rng(seed))
     if gains.max() <= epsilon and max_probe <= epsilon:
         return QuantumEquilibriumCertificate(
             play, float(epsilon), tuple(gains), num_probes, float(max_probe)
@@ -710,7 +718,7 @@ def grid_best_response_payoff(
     if game.dims[i] != 2:
         raise ValueError("the grid oracle handles qubit slots only")
     grid = grid_states(resolution)
-    form = _slot_form(game, rows, i)[0]
+    form = _slot_form(game, _slot_map(game, rows, i), i)[0]
     if isinstance(game.payoffs[i], OverlapPayoff):
         return float(np.abs(grid @ np.conj(form)).max())
     weights = np.einsum("kl,mlk->m", form, _PAULIS).real / 2.0   # <q, M q> = s(q) . weights

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qugame import classical
@@ -276,6 +276,8 @@ def oracle_convexity(game, base, num_samples, rng, max_draws_per_sample=2000):
     st.integers(min_value=0, max_value=150),
     st.sampled_from([1, 3, 10, 300, 2000]),
 )
+# past SETTLE_PAIRS mixtures the held rows are settled once mid-run and once at the end
+@example(counts=[3, 2, 2], seed=11, num_samples=2 * classical.SETTLE_PAIRS + 7, max_draws=2000)
 def test_convexity_sampler_matches_profile_oracle(counts, seed, num_samples, max_draws):
     setup = np.random.default_rng(seed)
     game = FiniteGame([setup.uniform(-1, 1, size=counts) for _ in counts])
@@ -298,6 +300,23 @@ def test_convexity_sampler_matches_oracle_through_a_shortfall():
     assert report == oracle_convexity(game, base, 500, oracle_rng, 4)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert report.shortfall and 0 < report.performed < 500
+
+
+class OffSimplexGenerator(np.random.Generator):
+    """A generator whose Dirichlet rows sum to 1.4, off the probability simplex."""
+
+    def dirichlet(self, alpha, size=None):
+        return np.full((size, len(alpha)), 0.7)
+
+
+@pytest.mark.parametrize("max_draws", [2000, 1], ids=["full", "shortfall"])
+def test_convexity_sampler_refuses_a_draw_off_the_simplex(max_draws):
+    # against uniform matching pennies every swap form is zero, so every row is
+    # accepted; one draw per refill leaves a single row queued and runs short
+    rng = OffSimplexGenerator(np.random.PCG64(0))
+    with pytest.raises(ValueError, match="^a Dirichlet draw left the probability simplex$"):
+        verify_countering_convexity(MATCHING_PENNIES, uniform(MATCHING_PENNIES), 10, rng,
+                                    max_draws_per_sample=max_draws)
 
 
 def oracle_support_candidate(payoffs, rows, cols):

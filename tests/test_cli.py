@@ -433,22 +433,40 @@ def test_verify_finite_accepts_uniform_pennies(tmp_path):
     assert doc["per_player_gain"] == [0, 0]
 
 
-def test_verify_computes_gains_once_when_accepted(tmp_path, monkeypatch):
-    calls = []
-    for module, name in ((quantum, "quantum_deviation_gains"), (classical, "deviation_gains")):
-        def counting(*args, _real=getattr(module, name), _name=name):
-            calls.append(_name)
-            return _real(*args)
-        monkeypatch.setattr(module, name, counting)
+def test_verify_builds_one_slot_map_per_player(tmp_path, monkeypatch):
+    # a player's analytic gain and probes share one W, accepted or rejected, with or
+    # without probes; a finite verify computes its gains once
+    built, gains = [], []
+    slot_map, deviation_gains = quantum._slot_map, classical.deviation_gains
 
-    game = build(tmp_path, "bell-state-prep")
+    def counting_map(game, factors, i):
+        built.append(i)
+        return slot_map(game, factors, i)
+
+    def counting_gains(*args):
+        gains.append(args)
+        return deviation_gains(*args)
+
+    monkeypatch.setattr(quantum, "_slot_map", counting_map)
+    monkeypatch.setattr(classical, "deviation_gains", counting_gains)
+    game = bld.bell_state_preparation_demo()
+    for first, accepted in (([1, 0], True), ([0, 1], False)):
+        play = ProductPlay((PureState(first), PureState([1, 0])))
+        for probes in (0, 8):
+            built.clear()
+            cert = quantum.verify_epsilon_nash_quantum(game, play, 1e-6, num_probes=probes, seed=3)
+            assert (cert is not None) == accepted
+            assert built == [0, 1]
+
+    doc = build(tmp_path, "bell-state-prep")
     play = tmp_path / "play.json"
     play.write_text(
         gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([1, 0])))) + "\n"
     )
-    assert run("verify", "--input", game, "--play", play, "--probes", 8,
+    built.clear()
+    assert run("verify", "--input", doc, "--play", play, "--probes", 8,
                "--out", tmp_path / "cert.json") == 0
-    assert calls == ["quantum_deviation_gains"]
+    assert built == [0, 1]
 
     finite = tmp_path / "mp.json"
     finite.write_text(gd.serialize_game(MATCHING_PENNIES) + "\n")
@@ -457,7 +475,7 @@ def test_verify_computes_gains_once_when_accepted(tmp_path, monkeypatch):
         classical.MixedProfile((np.array([0.5, 0.5]), np.array([0.5, 0.5])))) + "\n")
     assert run("verify", "--input", finite, "--play", prof, "--epsilon", 1e-8,
                "--out", tmp_path / "cert2.json") == 0
-    assert calls == ["quantum_deviation_gains", "deviation_gains"]
+    assert len(gains) == 1
 
 
 # -------------------------------------------------------------- geometry ---
@@ -775,6 +793,40 @@ def test_deeply_nested_input_exits_1_at_the_document_root(tmp_path, capsys):
     assert run("solve", "--input", deep, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: $: not valid JSON: ")
+    assert not out.exists()
+
+
+BIG = 1.7e308
+
+
+@pytest.mark.parametrize("command, observables, field", [
+    ("verify", {0: [BIG, -BIG, BIG, -BIG], 1: [BIG, -BIG, -BIG, BIG]}, "payoffs[0]"),
+    ("solve", {1: [BIG, -BIG, BIG, -BIG]}, "payoffs[1]"),
+])
+def test_eigenvalue_range_past_the_float_maximum_exits_1_naming_the_payoff(
+    tmp_path, capsys, command, observables, field
+):
+    # max - min overflows here: verify used to write an inf gain and solve a NaN table
+    # entry, each refused as an unnamed non-finite real after a RuntimeWarning
+    if command == "verify":   # the identity game, played at (|1>, |0>)
+        game = quantum.QuantumGame((2, 2), np.eye(4), [quantum.ObservablePayoff(np.ones(4))] * 2)
+        play = tmp_path / "play.json"
+        play.write_text(gd.serialize_play(ProductPlay((PureState([0, 1]), PureState([1, 0]))))
+                        + "\n")
+        args = ("--play", play)
+    else:
+        game, args = bld.bell_state_preparation_demo(), ("--resolution", 8)
+    doc = json.loads(gd.serialize_game(game))
+    for i, eigenvalues in observables.items():
+        doc["payoffs"][i] = {"observable": eigenvalues}
+    extreme = tmp_path / "extreme.json"
+    extreme.write_text(json.dumps(doc) + "\n")
+    out = tmp_path / "out.json"
+    assert run(command, "--input", extreme, *args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {field}.observable: "
+                   "eigenvalue range max - min exceeds the float maximum\n")
+    assert "np.float64(" not in err
     assert not out.exists()
 
 

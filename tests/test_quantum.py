@@ -499,6 +499,16 @@ def scalar_slot_optimum(game, factors, i):
     return canonicalize_phase(direction).amplitudes, attainable, current
 
 
+def stack_form(game, factors, i):
+    """The slot form of the factor stacks' own slot map W."""
+    return qq._slot_form(game, qq._slot_map(game, factors, i), i)
+
+
+def stack_optimum(game, factors, i):
+    """The slot optimum of the factor stacks' own slot map W."""
+    return qq._slot_optimum(game, qq._slot_map(game, factors, i), factors[i], i)
+
+
 def scalar_random_play(game, rng):
     """One Haar state per player, each from its own draws."""
     return ProductPlay([haar_random_state(d, rng) for d in game.dims])
@@ -529,11 +539,11 @@ def test_one_row_stack_is_the_one_play_kernel_bit_for_bit(dims, observable, seed
     factors = game.check_play(scalar_random_play(game, rng))
     rows = [f[None] for f in factors]
     for i in range(len(dims)):
-        form = qq._slot_form(game, rows, i)
+        form = stack_form(game, rows, i)
         assert form.shape == (1, *scalar_slot_form(game, factors, i).shape)
         assert form[0].tobytes() == scalar_slot_form(game, factors, i).tobytes()
         best, attainable, current = scalar_slot_optimum(game, factors, i)
-        _, got_attainable, got_current = qq._slot_optimum(game, rows, i)
+        _, got_attainable, got_current = stack_optimum(game, rows, i)
         assert qq._best_rows(game, rows, i)[0].tobytes() == best.tobytes()
         assert (got_attainable[0], got_current[0]) == (attainable, current)
 
@@ -550,15 +560,15 @@ def test_each_stack_row_is_the_one_row_kernel(dims, observable, k, seed):
     game = random_game(dims, observable, rng)
     stacks = _haar_rows(game.dims, k, rng)
     for i in range(len(dims)):
-        form = qq._slot_form(game, stacks, i)
-        optimum = qq._slot_optimum(game, stacks, i)
+        form = stack_form(game, stacks, i)
+        optimum = stack_optimum(game, stacks, i)
         best = qq._best_rows(game, stacks, i)
         for r in range(k):
             rows = [s[r:r + 1] for s in stacks]
-            one_form = qq._slot_form(game, rows, i)[0]
+            one_form = stack_form(game, rows, i)[0]
             scale = max(1.0, np.abs(one_form).max())
             assert np.abs(form[r] - one_form).max() <= 1e-15 * scale
-            for got, want in zip(optimum[1:], qq._slot_optimum(game, rows, i)[1:]):
+            for got, want in zip(optimum[1:], stack_optimum(game, rows, i)[1:]):
                 assert abs(got[r] - want[0]) <= 1e-15 * scale
             assert np.abs(best[r] - qq._best_rows(game, rows, i)[0]).max() <= 1e-15
 
@@ -575,9 +585,9 @@ def test_stack_rows_at_joint_dimension_1024_are_the_one_play_kernel_bit_for_bit(
     for specs in [(overlap, observable), (observable, overlap)]:
         game = qq.QuantumGame(dims, unitary, specs)
         for i in range(2):
-            form = qq._slot_form(game, stacks, i)
+            form = stack_form(game, stacks, i)
             for r in range(5):
-                one_row = qq._slot_form(game, [s[r:r + 1] for s in stacks], i)[0]
+                one_row = stack_form(game, [s[r:r + 1] for s in stacks], i)[0]
                 assert form[r].tobytes() == one_row.tobytes()
                 assert form[r].tobytes() == scalar_slot_form(game, [s[r] for s in stacks], i).tobytes()
 
@@ -752,9 +762,9 @@ def test_starts_run_in_bounded_stacks_bit_for_bit(monkeypatch):
     sizes = []
     slot_form = qq._slot_form
 
-    def recording(game, factors, i):
-        sizes.append(len(factors[1 - i]))
-        return slot_form(game, factors, i)
+    def recording(game, w, i):
+        sizes.append(len(w))
+        return slot_form(game, w, i)
 
     monkeypatch.setattr(qq, "_slot_form", recording)
     split = qq.multi_start_dynamics(game, 8, max_iter=60, seed=5)
@@ -969,7 +979,7 @@ def test_dynamics_refuses_a_bad_tol_before_any_sweep(monkeypatch, tol):
 def test_verify_refuses_a_bad_epsilon_before_any_gain(monkeypatch, epsilon):
     game = bell_state_preparation_demo()
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
-    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    monkeypatch.setattr(qq, "_slot_map", _refuse)
     with pytest.raises(ValueError, match="^epsilon must be a finite real >= 0"):
         qq.verify_epsilon_nash_quantum(game, play, epsilon)
 
@@ -977,7 +987,7 @@ def test_verify_refuses_a_bad_epsilon_before_any_gain(monkeypatch, epsilon):
 def test_verify_refuses_a_negative_probe_count_before_any_gain(monkeypatch):
     game = bell_state_preparation_demo()
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
-    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    monkeypatch.setattr(qq, "_slot_map", _refuse)
     with pytest.raises(ValueError, match="^num_probes must be >= 0, got -3"):
         qq.verify_epsilon_nash_quantum(game, play, 1e-6, num_probes=-3)
 
@@ -985,7 +995,7 @@ def test_verify_refuses_a_negative_probe_count_before_any_gain(monkeypatch):
 def test_verify_refuses_more_than_max_probes_before_any_gain(monkeypatch):
     game = bell_state_preparation_demo()
     play = ProductPlay((PureState([1, 0]), PureState([1, 0])))
-    monkeypatch.setattr(qq, "quantum_deviation_gains", _refuse)
+    monkeypatch.setattr(qq, "_slot_map", _refuse)
     monkeypatch.setattr(qq, "_haar_rows", _refuse)
     too_many = qq.MAX_PROBES + 1
     with pytest.raises(ValueError, match=f"^num_probes must be <= {qq.MAX_PROBES}, got {too_many}$"):
