@@ -88,8 +88,8 @@ class MixedProfile:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"distribution {i} has non-finite entries")
             if arr.min() < -DEFAULT_TOLS.simplex_negative:
-                raise ValueError(f"distribution {i} has a negative entry: {arr.min()!r}")
-            total = arr.sum()
+                raise ValueError(f"distribution {i} has a negative entry: {float(arr.min())!r}")
+            total = float(arr.sum())
             if abs(total - 1.0) > DEFAULT_TOLS.simplex_sum:
                 raise ValueError(f"distribution {i} sums to {total!r}, not 1")
             arr = np.clip(arr, 0.0, None)
@@ -194,24 +194,22 @@ def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column weights equalizing the rows of each payoff block, solved as one stack.
 
     Returns the weights and a mask of the systems that are nonsingular and stay
-    in the simplex; a stack holding a singular system is solved one at a time.
+    in the simplex. Singular systems (an exact zero LU pivot, which makes ``solve``
+    raise and ``slogdet`` give sign 0) are swapped for the identity, and the stack re-solved.
     """
     n, m = blocks.shape[:2]
     systems = np.zeros((n, m + 1, m + 1))
     systems[:, :m, :m] = blocks
     systems[:, :m, m] = -1.0      # common payoff value v
     systems[:, m, :m] = 1.0       # weights sum to one
-    rhs = np.eye(m + 1)[:, m:]
+    rhs = np.broadcast_to(np.eye(m + 1)[:, m:], (n, m + 1, 1))
     solved = np.ones(n, dtype=bool)
     try:
-        sols = np.linalg.solve(systems, np.broadcast_to(rhs, (n, m + 1, 1)))
+        sols = np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError:
-        sols = np.zeros((n, m + 1, 1))
-        for k, system in enumerate(systems):
-            try:
-                sols[k] = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                solved[k] = False
+        solved = np.linalg.slogdet(systems)[0] != 0
+        systems[~solved] = np.eye(m + 1)
+        sols = np.linalg.solve(systems, rhs)
     return sols[:, :m, 0], solved & ~(sols[:, :m, 0].min(axis=1) < -DEFAULT_TOLS.support_weight)
 
 

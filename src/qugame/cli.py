@@ -63,6 +63,7 @@ def _cmd_solve(args) -> int:
         "epsilon": report.epsilon,
         "num_plays": report.num_plays,
         "num_equilibria": report.num_equilibria,
+        "num_passing": report.num_passing,
         "min_max_gain": report.min_max_gain,
         "best_play": [f.amplitudes for f in report.best_play().factors],
         "equilibrium_indices": [list(pair) for pair in report.equilibrium_indices],

@@ -3,10 +3,9 @@
 One document describes one game (or one play, profile, or schedule). Complex
 numbers are [re, im] pairs; reals are written with 17 significant digits so a
 parse-serialize round trip is exact; field order is fixed, making serialized
-bytes stable across runs. A document is written with one %-format call and
-each real field is read as one float64 array; input failing that bulk check
-meets the per-element walk, which alone reports errors, naming the offending
-field.
+bytes stable across runs. A document is written with one %-format call, and
+each real field is read in one pass that checks it level by level in bulk and
+names its first faulty entry, in document order, by field path.
 """
 from __future__ import annotations
 
@@ -162,18 +161,14 @@ def _real(value, path: str) -> float:
     return x
 
 
-def _complex(value, path: str) -> complex:
-    if not isinstance(value, list) or len(value) != 2:
-        raise DocumentError(path, f"expected a [re, im] pair, got {value!r}")
-    return complex(_real(value[0], path + "[0]"), _real(value[1], path + "[1]"))
-
-
-def _int(value, path: str, *, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(path, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise DocumentError(path, f"expected an integer >= {minimum}, got {value}")
-    return value
+def _ints(value, path: str, minimum: int) -> tuple[int, ...]:
+    """The list ``value`` of integers, each at least ``minimum``."""
+    for k, item in enumerate(_list(value, path)):
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise DocumentError(f"{path}[{k}]", f"expected an integer, got {item!r}")
+        if item < minimum:
+            raise DocumentError(f"{path}[{k}]", f"expected an integer >= {minimum}, got {item}")
+    return tuple(value)
 
 
 def _list(value, path: str) -> list:
@@ -182,33 +177,41 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _bulk_reals(value, shape: tuple[int, ...]) -> np.ndarray | None:
-    """Nested lists of exactly ``shape`` with finite int/float leaves as one
-    float64 array, else None: the caller's per-element walk names the fault."""
-    leaves = [value]
-    for n in shape:
-        if set(map(type, leaves)) - {list} or set(map(len, leaves)) - {n}:
-            return None
-        leaves = list(chain.from_iterable(leaves))
-    if not set(map(type, leaves)) <= {float, int}:
-        return None
+def _reals(value, shape: tuple[int, ...], path: str, pairs: bool = False) -> np.ndarray:
+    """Nested lists of ``shape`` with finite real leaves as one float64 array, or
+    with [re, im] pair leaves as one complex128 array if ``pairs``.
+
+    Each level is checked in bulk. A level that fails is cut before its first
+    bad item, so a fault found deeper lies earlier in the document, and the
+    last fault found is the first one an element-by-element walk meets.
+    """
+    dims = (*shape, 2) if pairs else shape
+    level, fault = [value], None
+
+    def at(k: int, depth: int) -> str:   # the path of item k of the level at depth
+        return path + "".join(f"[{i}]" for i in np.unravel_index(k, dims[:depth]))
+
+    for depth, n in enumerate(dims):
+        if set(map(type, level)) - {list} or set(map(len, level)) - {n}:
+            k = next(k for k, item in enumerate(level) if type(item) is not list or len(item) != n)
+            item, level = level[k], level[:k]
+            if pairs and depth == len(shape):
+                fault = at(k, depth), f"expected a [re, im] pair, got {item!r}"
+            elif type(item) is not list:
+                fault = at(k, depth), f"expected a list, got {type(item).__name__}"
+            else:
+                fault = at(k, depth), f"expected {n} entries, got {len(item)}"
+        level = list(chain.from_iterable(level))
     try:
-        x = np.array(leaves, dtype=np.float64)
+        x = np.array(level, dtype=np.float64) if set(map(type, level)) <= {float, int} else None
     except OverflowError:   # an integer literal too large for a real
-        return None
-    return x.reshape(shape) if np.isfinite(x).all() else None
-
-
-def _complex_vector(value, path: str, length: int | None = None) -> np.ndarray:
-    items = _list(value, path)
-    if length is not None and len(items) != length:
-        raise DocumentError(path, f"expected {length} entries, got {len(items)}")
-    bulk = _bulk_reals(items, (len(items), 2))
-    if bulk is not None:
-        return bulk.view(np.complex128)[..., 0]
-    return np.array(
-        [_complex(z, f"{path}[{k}]") for k, z in enumerate(items)], dtype=np.complex128
-    )
+        x = None
+    if x is None or not np.isfinite(x).all():
+        x = np.array([_real(leaf, at(k, len(dims))) for k, leaf in enumerate(level)])
+    if fault is not None:
+        raise DocumentError(*fault)
+    x = x.reshape(dims)
+    return x.view(np.complex128)[..., 0] if pairs else x
 
 
 def _complex_matrix(value, path: str, size: int | None = None) -> np.ndarray:
@@ -218,16 +221,14 @@ def _complex_matrix(value, path: str, size: int | None = None) -> np.ndarray:
     if not rows:
         raise DocumentError(path, "matrix must be nonempty")
     width = len(_list(rows[0], f"{path}[0]")) if size is None else size
-    bulk = _bulk_reals(rows, (len(rows), width, 2))
-    if bulk is not None:
-        return bulk.view(np.complex128)[..., 0]
-    return np.vstack([_complex_vector(row, f"{path}[{r}]", width) for r, row in enumerate(rows)])
+    return _reals(rows, (len(rows), width), path, pairs=True)
 
 
 def _unit_state(vec: np.ndarray, path: str) -> PureState:
     if vec.size < 2:
         raise DocumentError(path, "a qudit state needs dimension >= 2")
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        norm = float(np.linalg.norm(vec))
     if norm < DEFAULT_TOLS.phase_cutoff:
         raise DocumentError(path, "state vector is numerically zero")
     if abs(norm - 1.0) > DEFAULT_TOLS.normalization_window:   # a data error, not guessed at
@@ -241,25 +242,8 @@ def _unit_state(vec: np.ndarray, path: str) -> PureState:
     return PureState(vec / norm)
 
 
-def _nested_shape(value, shape: tuple[int, ...], path: str) -> np.ndarray:
-    bulk = _bulk_reals(value, shape)
-    if bulk is not None:
-        return bulk
-    if not shape:
-        return np.array(_real(value, path))
-    items = _list(value, path)
-    if len(items) != shape[0]:
-        raise DocumentError(path, f"expected {shape[0]} entries, got {len(items)}")
-    return np.stack(
-        [_nested_shape(item, shape[1:], f"{path}[{k}]") for k, item in enumerate(items)]
-    )
-
-
 def _parse_finite(doc: dict) -> FiniteGame:
-    counts = tuple(
-        _int(v, f"strategy_counts[{k}]", minimum=1)
-        for k, v in enumerate(_list(doc.get("strategy_counts"), "strategy_counts"))
-    )
+    counts = _ints(doc.get("strategy_counts"), "strategy_counts", 1)
     if len(counts) < 2:
         raise DocumentError("strategy_counts", "a game needs at least two players")
     if len(counts) > MAX_FINITE_PLAYERS:
@@ -271,17 +255,12 @@ def _parse_finite(doc: dict) -> FiniteGame:
         raise DocumentError(
             "payoff_tensors", f"expected {len(counts)} tensors, got {len(tensors_raw)}"
         )
-    tensors = [
-        _nested_shape(t, counts, f"payoff_tensors[{i}]") for i, t in enumerate(tensors_raw)
-    ]
+    tensors = [_reals(t, counts, f"payoff_tensors[{i}]") for i, t in enumerate(tensors_raw)]
     return FiniteGame(tensors)
 
 
 def _parse_quantum(doc: dict) -> QuantumGame:
-    dims = tuple(
-        _int(v, f"dims[{k}]", minimum=2)
-        for k, v in enumerate(_list(doc.get("dims"), "dims"))
-    )
+    dims = _ints(doc.get("dims"), "dims", 2)
     if len(dims) < 2:
         raise DocumentError("dims", "a game needs at least two players")
     joint = math.prod(dims)
@@ -300,10 +279,10 @@ def _parse_quantum(doc: dict) -> QuantumGame:
             raise DocumentError(path, "expected exactly one of 'overlap' or 'observable'")
         key, value = next(iter(spec.items()))
         if key == "overlap":
-            vec = _complex_vector(value, f"{path}.overlap", joint)
+            vec = _reals(value, (joint,), f"{path}.overlap", pairs=True)
             specs.append(OverlapPayoff(_unit_state(vec, f"{path}.overlap")))
-        elif key == "observable":   # a list of joint reals, else refused by _nested_shape
-            eigenvalues = _nested_shape(value, (joint,), f"{path}.observable")
+        elif key == "observable":   # a list of joint reals, else refused by _reals
+            eigenvalues = _reals(value, (joint,), f"{path}.observable")
             try:
                 specs.append(ObservablePayoff(eigenvalues))
             except ValueError as exc:   # an eigenvalue range past the float maximum
@@ -345,9 +324,9 @@ def parse_play(text: str, dims: Sequence[int] | None = None) -> ProductPlay:
         raise DocumentError("factors", f"expected {len(dims)} factors, got {len(factors_raw)}")
     states = []
     for i, factor in enumerate(factors_raw):
-        want = dims[i] if dims is not None else None
-        vec = _complex_vector(factor, f"factors[{i}]", want)
-        states.append(_unit_state(vec, f"factors[{i}]"))
+        path = f"factors[{i}]"
+        want = len(_list(factor, path)) if dims is None else dims[i]
+        states.append(_unit_state(_reals(factor, (want,), path, pairs=True), path))
     return ProductPlay(states)
 
 
@@ -365,10 +344,8 @@ def parse_profile(text: str, counts: Sequence[int] | None = None) -> MixedProfil
     dists = []
     for i, dist in enumerate(dists_raw):
         path = f"distributions[{i}]"
-        entries = _list(dist, path)
-        if counts is not None and len(entries) != counts[i]:
-            raise DocumentError(path, f"expected {counts[i]} entries, got {len(entries)}")
-        dists.append(_nested_shape(entries, (len(entries),), path))
+        want = len(_list(dist, path)) if counts is None else counts[i]
+        dists.append(_reals(dist, (want,), path))
     try:
         return MixedProfile(dists)
     except ValueError as exc:
@@ -388,7 +365,7 @@ def parse_schedule(text: str) -> AdiabaticSchedule:
     except ValueError as exc:
         raise DocumentError("h_initial/h_final", str(exc)) from exc
     s_raw = _list(doc.get("s_values"), "s_values")
-    s_values = tuple(_nested_shape(s_raw, (len(s_raw),), "s_values").tolist())
+    s_values = tuple(_reals(s_raw, (len(s_raw),), "s_values").tolist())
     time = _real(doc.get("time"), "time")
     try:
         return AdiabaticSchedule(ops[0], ops[1], s_values, time)

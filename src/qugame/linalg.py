@@ -170,8 +170,9 @@ class UnitaryOperator(_SquareOperator):
 
     @staticmethod
     def _check_defect(m: np.ndarray) -> None:
-        defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if defect > DEFAULT_TOLS.unitarity:
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or NaN is refused below
+            defect = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+        if not defect <= DEFAULT_TOLS.unitarity:
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
 
 
@@ -182,8 +183,9 @@ class HermitianOperator(_SquareOperator):
 
     @staticmethod
     def _check_defect(m: np.ndarray) -> None:
-        defect = np.abs(m - m.conj().T).max()
-        if defect > DEFAULT_TOLS.hermiticity:
+        with np.errstate(over="ignore"):   # inf is refused below
+            defect = np.abs(m - m.conj().T).max()
+        if not defect <= DEFAULT_TOLS.hermiticity:
             raise ValueError(f"matrix is not Hermitian: max |H - H^H| = {defect:.3e}")
 
 

@@ -678,10 +678,17 @@ def _scalar_payoff_tables(
             pulled = np.conj(_pull_back(game, spec.target.amplitudes)).reshape(2, 2)
             tables.append(np.abs(grid @ pulled @ grid.T))
         else:
-            u = game.unitary.matrix
-            joint = (u.conj().T @ (spec.eigenvalues[:, None] * u)).reshape(2, 2, 2, 2)
+            # every partial sum is at most 16 max|eigenvalue|: past 2^1019 it is
+            # computed at an exact power-of-two scale, clipped to the eigenvalue range
+            eigenvalues, u = spec.eigenvalues, game.unitary.matrix
+            shift = max(0, int(np.frexp(np.abs(eigenvalues).max())[1]) - 1019)
+            scaled = np.ldexp(eigenvalues, -shift)
+            joint = (u.conj().T @ (scaled[:, None] * u)).reshape(2, 2, 2, 2)
             form = np.einsum("acbd,mba,ndc->mn", joint, _PAULIS, _PAULIS).real / 4.0
-            tables.append(rows @ form @ rows.T)
+            table = rows @ form @ rows.T
+            if shift:
+                table = np.ldexp(np.clip(table, scaled.min(), scaled.max()), shift)
+            tables.append(table)
     return tables[0], tables[1]
 
 
@@ -692,6 +699,7 @@ class GridSearchReport:
     resolution: int
     epsilon: float
     num_plays: int
+    num_passing: int   # every passing play; at most GRID_MAX_REPORTED are listed
     equilibrium_indices: tuple[tuple[int, int], ...]
     best_index: tuple[int, int]
     min_max_gain: float
@@ -735,7 +743,7 @@ def grid_search_pure_nash(game: QuantumGame, resolution: int, epsilon: float) ->
     magnitude, or the observable value) by more than ``epsilon`` within their
     own grid. The report also carries the play minimizing the larger of the
     two gains, which doubles as a search hint when nothing passes. The first
-    ``GRID_MAX_REPORTED`` passing plays in row-major order are listed.
+    ``GRID_MAX_REPORTED`` passing plays in row-major order are listed, and all are counted.
 
     Each gain overwrites its player's table, so two n x n float tables (n =
     resolution**2) are the working set, plus one complex n x n product while an
@@ -758,6 +766,7 @@ def grid_search_pure_nash(game: QuantumGame, resolution: int, epsilon: float) ->
         resolution=resolution,
         epsilon=float(epsilon),
         num_plays=worst.size,
+        num_passing=len(hits),
         equilibrium_indices=indices,
         best_index=best_index,
         min_max_gain=float(worst[best_index]),

@@ -330,3 +330,32 @@ def test_sweep_resolves_the_orthogonal_target_orbit():
     assert {row.outcome for row in report.rows} == {"cycle_resolved"}
     assert report.verified == 2
     assert report.converged == 0
+
+
+# ------------------------------------------------------------- refusals ---
+
+def _schedule(dimension):
+    h = HermitianOperator(np.diag(np.arange(float(dimension))))
+    return bld.AdiabaticSchedule(h, h, (0.0, 1.0), 1.0)
+
+
+# (call, exact ValueError message): refusals no other test reaches
+BUILDER_REFUSALS = {
+    "no qubit": (lambda: bld.grover_iterate(0, 0), "need at least one qubit"),
+    "Hamiltonians of two sizes": (
+        lambda: bld.AdiabaticSchedule(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(4)),
+                                      (0.0,), 1.0),
+        "start and end Hamiltonians must share a dimension"),
+    "joint dimension 8": (lambda: bld.build_adiabatic_game(_schedule(8), 0.5),
+                          "the two-player split needs a square joint dimension"),
+    "joint dimension 1": (lambda: bld.build_adiabatic_game(_schedule(1), 0.5),
+                          "each player needs a qudit of dimension >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_REFUSALS)
+def test_each_builder_refusal_has_its_message(case):
+    call, message = BUILDER_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -555,3 +555,36 @@ def test_certificate_carries_gains():
     assert cert is not None
     assert cert.epsilon <= 1e-8
     assert max(cert.per_player_gain) <= 1e-8
+
+
+# ------------------------------------------------------------- refusals ---
+
+# (call, exact ValueError message): refusals no other test reaches
+CLASSICAL_REFUSALS = {
+    "tensor axes": (lambda: FiniteGame([np.zeros((2, 2))] * 3),
+                    "3 players but payoff tensors have 2 axes"),
+    "non-finite tensor": (lambda: FiniteGame([np.zeros((1, 1)), [[np.inf]]]),
+                          "payoff tensor 1 has non-finite entries"),
+    "no strategy": (lambda: FiniteGame([np.zeros((2, 0))] * 2),
+                    "every player needs at least one strategy"),
+    "empty distribution": (lambda: MixedProfile([[], [1.0]]),
+                           "distribution 0 is not a nonempty vector"),
+    "non-finite distribution": (lambda: MixedProfile([[1.0], [np.nan, 1.0]]),
+                                "distribution 1 has non-finite entries"),
+    "certificate below its gains": (
+        lambda: classical.EquilibriumCertificate(uniform(MATCHING_PENNIES), 0.1, (0.0, 0.2)),
+        "certificate epsilon is below the recorded gains"),
+    "profile of other counts": (
+        lambda: deviation_gains(MATCHING_PENNIES, MixedProfile([[1.0], [0.5, 0.5]])),
+        "profile strategy counts (1, 2) do not match game (2, 2)"),
+    "nine strategies": (lambda: support_enumeration_nash(FiniteGame([np.zeros((9, 2))] * 2)),
+                        "support enumeration is limited to 8 strategies per player"),
+}
+
+
+@pytest.mark.parametrize("case", CLASSICAL_REFUSALS)
+def test_each_classical_refusal_has_its_message(case):
+    call, message = CLASSICAL_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,9 @@ def test_build_bytes_are_pinned(tmp_path, args):
 # probes were drawn as one array and the overlap grid tables were factored;
 # both changes must leave every byte of these documents where it was. The
 # alignment demo's digest is that of its Bloch-form observable tables, which
-# break the scan's near-ties differently from the joint-state einsum they replaced
+# break the scan's near-ties differently from the joint-state einsum they replaced.
+# The three `solve` digests were re-taken when the document gained `num_passing`
+# after `num_equilibria`; with that key removed, each document keeps its old bytes
 BELL_DIGESTS = {
     ("verify", "equilibrium"):
         "6a8c2ecc721bf174d5e80becd34d735439bb6858b91f3e8d5ede9cf8b8e53ae8",
@@ -164,11 +167,11 @@ BELL_DIGESTS = {
     ("verify", "equilibrium", "--probes", "0"):
         "aef24387666d10da895212b14194c5c4c1ac98933ee454de068fdb027f583237",
     ("solve", "bell-state-prep", "--resolution", "16"):
-        "203f74bda3db8888726e78e0b2b11fbf668c141b6f93034526cc4869195556e6",
+        "036c027bd8b22f7353f0abe33afcdee685648bc42341e721b1e75a2cf3d981a4",
     ("solve", "bell-state-prep", "--resolution", "32"):
-        "f825ed27c0338c407073b30574489881bb566390a8575d2410b299202a1bb030",
+        "c033258710a2920379b78c8e3ce39189958adc29fe06f4e31faba31bde6c29aa",
     ("solve", "alignment-demo", "--resolution", "32"):
-        "e404edea0d5a3e13ed978c413930b5a3dc9a7816d1c0365eca73e4c6f87e450c",
+        "f40396bddbb501f68329d4f3da06770d7cee52ddfe02dffff9da87b8fa4ff175",
 }
 
 
@@ -328,8 +331,38 @@ def test_solve_quantum_alignment_grid(tmp_path):
     # pure misalignment: no profile survives, and the least escapable gain
     # stays at the half-unit floor
     assert doc["num_equilibria"] == 0
+    assert doc["num_passing"] == 0
     assert doc["equilibrium_indices"] == []
     assert doc["min_max_gain"] >= 0.5 - 1e-9
+
+
+def test_solve_counts_every_passing_play_beyond_the_listed_ones(tmp_path):
+    out = tmp_path / "grid.json"
+    assert run("solve", "--input", build(tmp_path, "bell-state-prep"), "--resolution", 16,
+               "--out", out) == 0
+    doc = load(out)
+    assert (doc["num_passing"], doc["num_equilibria"]) == (4352, 64)
+    assert len(doc["equilibrium_indices"]) == 64
+    keys = list(doc)
+    assert keys[keys.index("num_equilibria") + 1] == "num_passing"
+
+
+def test_solve_on_observables_near_the_float_maximum_writes_finite_output(tmp_path, capsys):
+    # a grid-table entry sums several eigenvalues, so equal eigenvalues of 1.7e308
+    # (range 0, accepted) used to overflow the tables into a NaN gain; a constant
+    # payoff leaves player 2 no gain anywhere, as eigenvalues of 0 do
+    reports = []
+    for eigenvalue in (BIG, 0):
+        doc = json.loads(gd.serialize_game(bld.bell_state_preparation_demo()))
+        doc["payoffs"][1] = {"observable": [eigenvalue] * 4}
+        path, out = tmp_path / "game.json", tmp_path / "grid.json"
+        path.write_text(json.dumps(doc) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("solve", "--input", path, "--resolution", 8, "--out", out) == 0
+        reports.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert reports[0] == reports[1]
 
 
 # -------------------------------------------------------------- dynamics ---
@@ -826,6 +859,63 @@ def test_eigenvalue_range_past_the_float_maximum_exits_1_naming_the_payoff(
     err = capsys.readouterr().err
     assert err == (f"error: {field}.observable: "
                    "eigenvalue range max - min exceeds the float maximum\n")
+    assert "np.float64(" not in err
+    assert not out.exists()
+
+
+DOCUMENT_TEXTS = {
+    "bell": lambda: gd.serialize_game(bld.bell_state_preparation_demo()),
+    "schedule": lambda: gd.serialize_schedule(bld.demo_adiabatic_schedule()),
+    "pennies": lambda: gd.serialize_game(MATCHING_PENNIES),
+}
+COMMAND_ARGS = {"solve": ("--resolution", 4), "sweep": ("--starts", 1)}
+
+# (command, document, {entry path: new value}, play or profile for verify, stderr):
+# checks that could overflow or print numpy reprs; each input ended in a
+# RuntimeWarning or an np.float64 message
+REFUSED_DOCUMENTS = {
+    "unitary entry 1e308": (
+        "solve", "bell", {("unitary", 0, 0, 0): 1e308}, None,
+        "error: unitary: matrix is not unitary: max |U^H U - I| = inf\n"),
+    "overlap entry -1.7e308": (
+        "solve", "bell", {("payoffs", 0, "overlap", 0, 0): -BIG}, None,
+        "error: payoffs[0].overlap: state norm inf is outside the renormalization window\n"),
+    "schedule entries +-1.7e308": (
+        "sweep", "schedule", {("h_initial", 0, 1): [BIG, 0], ("h_initial", 1, 0): [-BIG, 0]},
+        None, "error: h_initial/h_final: matrix is not Hermitian: max |H - H^H| = inf\n"),
+    "stretched play factor": (
+        "verify", "bell", {}, {"kind": "play", "factors": [[[1.01, 0], [0, 0]], [[1, 0], [0, 0]]]},
+        "error: factors[0]: state norm 1.01 is outside the renormalization window\n"),
+    "negative profile entry": (
+        "verify", "pennies", {}, {"kind": "profile", "distributions": [[1.1, -0.1], [0.5, 0.5]]},
+        "error: distributions: distribution 0 has a negative entry: -0.1\n"),
+    "profile sum 1.2": (
+        "verify", "pennies", {}, {"kind": "profile", "distributions": [[0.5, 0.5], [0.6, 0.6]]},
+        "error: distributions: distribution 1 sums to 1.2, not 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_DOCUMENTS)
+def test_refused_documents_name_the_field_in_plain_floats(tmp_path, capsys, case):
+    command, kind, edits, play, expected = REFUSED_DOCUMENTS[case]
+    doc = json.loads(DOCUMENT_TEXTS[kind]())
+    for (*keys, last), value in edits.items():
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    path, out = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc) + "\n")
+    args = COMMAND_ARGS.get(command, ())
+    if play is not None:
+        play_path = tmp_path / "play.json"
+        play_path.write_text(json.dumps({"schema_version": 1, **play}) + "\n")
+        args = ("--play", play_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # an escaped RuntimeWarning ends the run here
+        assert run(command, "--input", path, *args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == expected
     assert "np.float64(" not in err
     assert not out.exists()
 

@@ -1,4 +1,5 @@
 """Document codecs: canonical JSON, round trips, CSV and point-cloud files."""
+import copy
 import gc
 import json
 import math
@@ -249,6 +250,81 @@ def test_deeply_nested_json_is_a_document_error(parse):
     assert err.value.path == "$"
 
 
+def edited(text, edit):
+    """``text``'s document after ``edit`` changed its decoded JSON in place."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+BELL_TEXT = gd.serialize_game(bld.bell_state_preparation_demo())
+PENNIES_TEXT = gd.serialize_game(FiniteGame([np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                                             np.array([[-1.0, 1.0], [1.0, -1.0]])]))
+PLAY_TEXT = gd.serialize_play(ProductPlay((PureState([1, 0]), PureState([0, 1]))))
+PROFILE_TEXT = gd.serialize_profile(MixedProfile([[0.5, 0.5], [0.25, 0.75]]))
+SCHEDULE_TEXT = gd.serialize_schedule(bld.demo_adiabatic_schedule())
+
+# (parse, document, edit of its JSON, path, message): one refusal each
+DOCUMENT_REFUSALS = {
+    "count not an integer": (gd.parse_game, PENNIES_TEXT,
+                             lambda d: d.update(strategy_counts=[2, True]),
+                             "strategy_counts[1]", "expected an integer, got True"),
+    "count below 1": (gd.parse_game, PENNIES_TEXT, lambda d: d.update(strategy_counts=[2, 0]),
+                      "strategy_counts[1]", "expected an integer >= 1, got 0"),
+    "dim below 2": (gd.parse_game, BELL_TEXT, lambda d: d.update(dims=[2, 1]),
+                    "dims[1]", "expected an integer >= 2, got 1"),
+    "dim a float": (gd.parse_game, BELL_TEXT, lambda d: d.update(dims=[2.0, 2]),
+                    "dims[0]", "expected an integer, got 2.0"),
+    "one finite player": (gd.parse_game, PENNIES_TEXT, lambda d: d.update(strategy_counts=[4]),
+                          "strategy_counts", "a game needs at least two players"),
+    "one quantum player": (gd.parse_game, BELL_TEXT, lambda d: d.update(dims=[4]),
+                           "dims", "a game needs at least two players"),
+    "tensor count": (gd.parse_game, PENNIES_TEXT, lambda d: d["payoff_tensors"].pop(),
+                     "payoff_tensors", "expected 2 tensors, got 1"),
+    "spec count": (gd.parse_game, BELL_TEXT, lambda d: d["payoffs"].append(d["payoffs"][0]),
+                   "payoffs", "expected 2 specs, got 3"),
+    "two-key spec": (gd.parse_game, BELL_TEXT,
+                     lambda d: d["payoffs"][1].update(observable=[0, 1, 2, 3]),
+                     "payoffs[1]", "expected exactly one of 'overlap' or 'observable'"),
+    "spec not an object": (gd.parse_game, BELL_TEXT, lambda d: d["payoffs"].__setitem__(0, []),
+                           "payoffs[0]", "expected exactly one of 'overlap' or 'observable'"),
+    "one factor": (gd.parse_play, PLAY_TEXT, lambda d: d["factors"].pop(),
+                   "factors", "a play needs at least two factors"),
+    "unsorted dial": (gd.parse_schedule, SCHEDULE_TEXT, lambda d: d["s_values"].reverse(),
+                      "$", "dial values must be sorted ascending"),
+    "no dial value": (gd.parse_schedule, SCHEDULE_TEXT, lambda d: d.update(s_values=[]),
+                      "$", "schedule needs at least one dial value"),
+    "zero duration": (gd.parse_schedule, SCHEDULE_TEXT, lambda d: d.update(time=0),
+                      "$", "duration must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", DOCUMENT_REFUSALS)
+def test_each_document_refusal_names_its_field(case):
+    parse, text, edit, path, message = DOCUMENT_REFUSALS[case]
+    with pytest.raises(gd.DocumentError) as err:
+        parse(edited(text, edit))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
+def test_a_profile_of_other_player_count_is_refused():
+    with pytest.raises(gd.DocumentError) as err:
+        gd.parse_profile(PROFILE_TEXT, (2, 2, 2))
+    assert str(err.value) == "distributions: expected 3 distributions, got 2"
+
+
+def test_serialize_game_refuses_other_types():
+    with pytest.raises(TypeError, match="^cannot serialize MixedProfile$"):
+        gd.serialize_game(MixedProfile([[1.0], [1.0]]))
+
+
+def test_a_failed_atomic_write_leaves_no_file(tmp_path):
+    target = tmp_path / "out.json"
+    with pytest.raises(UnicodeEncodeError):   # a lone surrogate has no UTF-8 form
+        gd.write_text_atomic(str(target), "{}\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 def finite_doc(counts, tensor) -> str:
     return json.dumps({"schema_version": 1, "kind": "finite", "strategy_counts": counts,
                        "payoff_tensors": [tensor] * len(counts)})
@@ -265,7 +341,7 @@ def test_finite_game_past_numpy_rank_is_refused_before_any_tensor(monkeypatch):
     def refuse(*args):
         raise AssertionError("a payoff tensor was decoded")
 
-    monkeypatch.setattr(gd, "_nested_shape", refuse)
+    monkeypatch.setattr(gd, "_reals", refuse)
     with pytest.raises(gd.DocumentError, match=f"70 players exceed the limit of {limit}") as err:
         gd.parse_game(finite_doc([1] * 70, nested_zero(70)))
     assert err.value.path == "strategy_counts"
@@ -585,14 +661,14 @@ def test_bulk_codec_matches_the_element_walk(shape, values):
     assert text == reference_json(reference_pairs(z))
     doc = json.loads(text)   # integer-valued entries come back as int leaves
     if len(shape) == 1:
-        assert outcome(gd._complex_vector, doc, "v", shape[0]) == outcome(
+        assert outcome(gd._reals, doc, shape, "v", True) == outcome(
             reference_vector, doc, "v", shape[0])
     elif shape[0]:
         assert outcome(gd._complex_matrix, doc, "m", None) == outcome(
             reference_matrix, doc, "m", None)
     if all(shape):   # strategy counts are at least 1
         doc = json.loads(gd.canonical_json(real))
-        assert outcome(gd._nested_shape, doc, shape, "t") == outcome(
+        assert outcome(gd._reals, doc, shape, "t") == outcome(
             reference_nested, doc, shape, "t")
 
 
@@ -724,11 +800,11 @@ def test_leaves_decode_as_the_element_walk_does(leaf, where):
     bad = json.loads(text[:cut] + leaf + text[end:])
     assert outcome(gd._complex_matrix, bad, "m", 4) == outcome(reference_matrix, bad, "m", 4)
     assert outcome(gd._complex_matrix, bad, "m") == outcome(reference_matrix, bad, "m")
-    assert outcome(gd._complex_vector, bad[where], "v", 4) == outcome(
+    assert outcome(gd._reals, bad[where], (4,), "v", True) == outcome(
         reference_vector, bad[where], "v", 4)
-    assert outcome(gd._nested_shape, bad, (4, 4, 2), "t") == outcome(
+    assert outcome(gd._reals, bad, (4, 4, 2), "t") == outcome(
         reference_nested, bad, (4, 4, 2), "t")
-    malformed = outcome(gd._complex_vector, bad[where], "v")[0] is gd.DocumentError
+    malformed = outcome(gd._reals, bad[where], (4,), "v", True)[0] is gd.DocumentError
     assert malformed == (leaf in MALFORMED_LEAVES)
 
 
@@ -754,8 +830,51 @@ def test_malformed_shapes_fail_as_the_element_walk_does(mangle):
         got = outcome(gd._complex_matrix, m, "m", size)
         assert got[0] is gd.DocumentError
         assert got == outcome(reference_matrix, m, "m", size)
-    assert outcome(gd._nested_shape, m, (4, 4, 2), "t") == outcome(
+    assert outcome(gd._reals, m, (4, 4, 2), "t") == outcome(
         reference_nested, m, (4, 4, 2), "t")
+
+
+# a fault replaces a node with one of these, or drops or repeats a list item
+FAULT_NODES = (True, None, "1.5", math.nan, math.inf, -math.inf, 10**400, 0.5, [0.5],
+               [0.5, 0.5, 0.5], {"re": 1})
+
+
+def inject_fault(value: list, data) -> None:
+    """One fault at a drawn depth of ``value``, changed in place."""
+    node, parent, index = value, None, None
+    while isinstance(node, list) and node and data.draw(st.booleans()):
+        parent, index = node, data.draw(st.integers(0, len(node) - 1))
+        node = node[index]
+    kind = data.draw(st.sampled_from(("replace", "drop", "repeat")))
+    if kind == "drop" and isinstance(node, list) and node:
+        del node[data.draw(st.integers(0, len(node) - 1))]
+    elif kind == "repeat" and isinstance(node, list) and node:
+        node.append(copy.deepcopy(node[-1]))
+    elif parent is not None:   # a copy, since later faults may change it in place
+        parent[index] = copy.deepcopy(data.draw(st.sampled_from(FAULT_NODES)))
+    else:
+        value.append(copy.deepcopy(data.draw(st.sampled_from(FAULT_NODES))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.booleans(), st.data())
+def test_values_with_several_faults_fail_as_the_element_walk_does(shape, pairs, data):
+    shape = tuple(shape)
+    size = math.prod(shape) * (2 if pairs else 1)
+    leaves = data.draw(st.lists(reals, min_size=size, max_size=size))
+    value = np.reshape(leaves, shape + (2,) * pairs).tolist()
+    for _ in range(data.draw(st.integers(2, 4))):
+        inject_fault(value, data)
+    if not pairs:
+        assert outcome(gd._reals, value, shape, "t") == outcome(
+            reference_nested, value, shape, "t")
+    elif len(shape) == 1:
+        assert outcome(gd._reals, value, shape, "v", True) == outcome(
+            reference_vector, value, "v", shape[0])
+    else:
+        for size in (shape[0], None):
+            assert outcome(gd._complex_matrix, value, "m", size) == outcome(
+                reference_matrix, value, "m", size)
 
 
 @pytest.mark.parametrize("leaf", MALFORMED_LEAVES + ("[1]",))

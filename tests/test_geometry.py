@@ -527,3 +527,31 @@ def test_coincidence_check_rejects_bad_parameters_before_the_hull(monkeypatch, k
     monkeypatch.setattr(geo, "convex_hull", no_hull)
     with pytest.raises(ValueError, match=name):
         geo.boundary_coincidence_check(sphere_cloud(50, 1), **kwargs)
+
+
+# ------------------------------------------------------------- refusals ---
+
+# (call, exact ValueError message): refusals no other test reaches
+GEOMETRY_REFUSALS = {
+    "qutrit embedding": (lambda: geo.bloch_embedding(PureState([1, 0, 0])),
+                         "the sphere embedding takes qubit states, got dimension 3"),
+    "direction of no facet": (lambda: geo.support_radius(geo.convex_hull(CUBE), np.zeros(3)),
+                              "direction escapes every facet plane; hull is degenerate"),
+    "point past the hull": (lambda: geo.ball_homeomorphism(geo.convex_hull(CUBE), [2.0, 0, 0]),
+                            "point lies outside the hull"),
+    "point past the ball": (
+        lambda: geo.ball_homeomorphism_inverse(geo.convex_hull(CUBE), [0, 1.5, 0]),
+        "point lies outside the closed unit ball"),
+    "retract in one dimension": (lambda: geo.hemisphere_retract([0.5]),
+                                 "expected a point in R^m with m >= 2"),
+    "retract past the ball": (lambda: geo.hemisphere_retract([1.0, 1.0]),
+                              "point lies outside the closed unit ball"),
+}
+
+
+@pytest.mark.parametrize("case", GEOMETRY_REFUSALS)
+def test_each_geometry_refusal_has_its_message(case):
+    call, message = GEOMETRY_REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

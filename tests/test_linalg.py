@@ -17,6 +17,7 @@ from qugame.linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _fixed_phase,
     _haar_rows,
     as_rng,
     canonicalize_phase,
@@ -383,3 +384,40 @@ def test_as_rng_refuses_a_negative_seed_by_name(seed):
 def test_haar_state_is_always_unit(seed):
     s = haar_random_state(2, seed)
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+
+
+# ------------------------------------------------------------- refusals ---
+
+QUBIT_PLAY = ProductPlay((PureState([1, 0]), PureState([0, 1])))
+
+# (call, exception type, exact message): refusals no other test reaches
+LINALG_REFUSALS = {
+    "state of two axes": (lambda: PureState(np.eye(2)), ValueError,
+                          "expected a 1-d state vector, got shape (2, 2)"),
+    "non-finite state": (lambda: PureState([np.nan, 1.0]), ValueError,
+                         "state vector has non-finite entries"),
+    "phase of a zero vector": (lambda: _fixed_phase(np.zeros(2, dtype=complex)), ValueError,
+                               "cannot fix the phase of a (numerically) zero vector"),
+    "canonical zero vector": (lambda: canonicalize_phase([0.0, 0.0]), ValueError,
+                              "cannot canonicalize a (numerically) zero vector"),
+    "empty tensor product": (lambda: tensor_product([]), ValueError,
+                             "tensor product of an empty sequence is undefined"),
+    "slot out of range": (lambda: partial_contraction(np.ones(4), QUBIT_PLAY, 2), IndexError,
+                          "player index 2 out of range for 2 players"),
+    "target of other size": (lambda: partial_contraction(np.ones(8), QUBIT_PLAY, 0),
+                             ValueError, "target has dimension 8, play joint dimension 4"),
+    "infinite time": (lambda: matrix_exponential_unitary(np.eye(2), np.inf), ValueError,
+                      "time parameter must be finite"),
+    "Haar state of dimension 1": (lambda: haar_random_state(1, 0), ValueError,
+                                  "a qudit state needs dimension >= 2"),
+    "Haar unitary of dimension 0": (lambda: haar_random_unitary(0, 0), ValueError,
+                                    "dimension must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", LINALG_REFUSALS)
+def test_each_linalg_refusal_has_its_message(case):
+    call, kind, message = LINALG_REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert str(err.value) == message

@@ -1025,6 +1025,7 @@ def test_grid_search_finds_bell_optimum():
     # reported equilibria saturate the reporting cap
     assert report.min_max_gain == pytest.approx(0.0, abs=1e-12)
     assert report.num_equilibria == 64
+    assert report.num_passing == 4352
     best = report.best_play()
     assert abs(qq.payoff(game, best, 0)) == pytest.approx(1.0, abs=1e-10)
 
@@ -1035,6 +1036,22 @@ def test_grid_search_alignment_demo_has_no_pure_equilibrium():
     assert report.num_equilibria == 0
     # one player can always realign: the max gain never drops below 1/2
     assert report.min_max_gain >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.7e308, -1.7e308, np.finfo(np.float64).max])
+def test_observable_grid_tables_near_the_float_maximum_are_exactly_rescaled(scale):
+    # past 2^1019 the table is computed at a power-of-two scale, which is exact,
+    # and clipped to the eigenvalue range before it is scaled back
+    bell = bell_state_preparation_demo()
+    eigenvalues = scale * np.array([1.0, 0.9, 1.0, 0.95])
+    tables = []
+    for shift in (0, 8):
+        spec = qq.ObservablePayoff(np.ldexp(eigenvalues, -shift))
+        game = qq.QuantumGame(bell.dims, bell.unitary, (bell.payoffs[0], spec))
+        tables.append(qq._scalar_payoff_tables(game, qq.grid_states(8))[1])
+    low, high = np.ldexp([eigenvalues.min(), eigenvalues.max()], -8)
+    assert np.isfinite(tables[0]).all()
+    assert tables[0].tobytes() == np.ldexp(np.clip(tables[1], low, high), 8).tobytes()
 
 
 def einsum_payoff_tables(game, grid):
@@ -1195,3 +1212,54 @@ def test_quantum_game_validation():
         qq.QuantumGame((2, 2), np.eye(4), (qq.OverlapPayoff(PureState([1, 0])),) * 2)
     with pytest.raises(ValueError, match="eigenvalues"):
         qq.QuantumGame((2, 2), np.eye(4), (qq.ObservablePayoff(np.ones(3)),) * 2)
+
+
+# ------------------------------------------------------------- refusals ---
+
+def _qutrit_game():
+    targets = (haar_random_state(6, 1), haar_random_state(6, 2))
+    return build_state_preparation_game((2, 3), np.eye(6), targets)
+
+
+BELL_PLAY = ProductPlay((PureState([1, 0]), PureState([1, 0])))
+OBSERVABLE = qq.ObservablePayoff(np.arange(4.0))
+
+# (call, exception type, exact message): refusals no other test reaches
+QUANTUM_REFUSALS = {
+    "empty eigenvalues": (lambda: qq.ObservablePayoff([]), ValueError,
+                          "eigenvalues must form a nonempty real vector"),
+    "eigenvalue matrix": (lambda: qq.ObservablePayoff(np.eye(2)), ValueError,
+                          "eigenvalues must form a nonempty real vector"),
+    "NaN eigenvalue": (lambda: qq.ObservablePayoff([0.0, math.nan]), ValueError,
+                       "eigenvalues must be finite"),
+    "one player": (lambda: qq.QuantumGame((4,), np.eye(4), (OBSERVABLE,)), ValueError,
+                   "a quantum game needs at least two players"),
+    "qudit of dimension 1": (lambda: qq.QuantumGame((1, 4), np.eye(4), (OBSERVABLE,) * 2),
+                             ValueError, "every player needs a qudit of dimension >= 2"),
+    "unknown spec": (lambda: qq.QuantumGame((2, 2), np.eye(4), (OBSERVABLE, "payoff")),
+                     TypeError, "payoff 1: unknown payoff spec str"),
+    "play of other dims": (
+        lambda: bell_state_preparation_demo().check_play(
+            ProductPlay((PureState([1, 0]), PureState([1, 0, 0])))),
+        ValueError, "play dims (2, 3) do not match game dims (2, 2)"),
+    "spec of another kind": (
+        lambda: qq.best_response_observable(bell_state_preparation_demo(), BELL_PLAY, 0),
+        TypeError, "player 0 does not use an ObservablePayoff"),
+    "certificate below its gains": (
+        lambda: qq.QuantumEquilibriumCertificate(BELL_PLAY, 0.1, (0.0, 0.2), 0, 0.0),
+        ValueError, "certificate epsilon is below the recorded gains"),
+    "grid oracle on a qutrit slot": (
+        lambda: qq.grid_best_response_payoff(
+            _qutrit_game(), ProductPlay((PureState([1, 0]), PureState([1, 0, 0]))), 1, 4),
+        ValueError, "the grid oracle handles qubit slots only"),
+    "grid scan of a qutrit game": (lambda: qq.grid_search_pure_nash(_qutrit_game(), 4, 0.1),
+                                   ValueError, "the grid oracle handles two qubit players only"),
+}
+
+
+@pytest.mark.parametrize("case", QUANTUM_REFUSALS)
+def test_each_quantum_refusal_has_its_message(case):
+    call, kind, message = QUANTUM_REFUSALS[case]
+    with pytest.raises(kind) as err:
+        call()
+    assert str(err.value) == message
