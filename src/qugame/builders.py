@@ -168,6 +168,11 @@ class AdiabaticSchedule:
             raise ValueError("dial values must be sorted ascending")
         if not (np.isfinite(self.time) and self.time > 0):
             raise ValueError("duration must be positive and finite")
+        # every H(s) is a convex combination, so its spectral radius is at most this bound
+        bound = max(np.linalg.norm(h.matrix, 2) for h in (self.h_initial, self.h_final))
+        if math.isinf(float(bound) * float(self.time)):   # Python floats overflow unwarned
+            raise ValueError(f"time {float(self.time)!r} times the spectral bound "
+                             f"{float(bound)!r} of H(s) exceeds the float maximum")
         object.__setattr__(self, "s_values", s)
         object.__setattr__(self, "time", float(self.time))
 

@@ -213,25 +213,26 @@ def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sols[:, :m, 0], solved & ~(sols[:, :m, 0].min(axis=1) < -DEFAULT_TOLS.support_weight)
 
 
-def _embed(weights: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
-    full = np.zeros(size)
-    full[support] = np.clip(weights, 0.0, None)
-    total = full.sum()
-    if total <= 0:
-        return full
-    return full / total
+def _embed(weights: np.ndarray, supports: np.ndarray, size: int) -> np.ndarray:
+    """Weight rows clipped at 0 on their support rows, each divided by its total unless <= 0."""
+    full = np.zeros((len(weights), size))
+    np.put_along_axis(full, supports, np.clip(weights, 0.0, None), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # MixedProfile refuses an inf or NaN row
+        total = full.sum(axis=1, keepdims=True)
+        return np.divide(full, total, out=full, where=~(total <= 0))
 
 
 def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
     """All equal-support-size Nash equilibria of a two-player game.
 
-    Walks support pairs in increasing size. For each size, the indifference
-    systems of all ``(rows, cols)`` pairs are stacked and solved at once per
-    player; pairs whose solutions stay in the simplex are then visited in
-    ``(rows, cols)`` order and kept if they survive the best-response filter,
-    which reads the gains off the raw weight arrays; a ``MixedProfile`` is built
-    only for a kept equilibrium. Every returned certificate is checked to
-    solver precision. Intended for games with at most eight strategies per player.
+    Walks support pairs in increasing size, one bulk pass per size. The row
+    player's indifference systems are solved as one stack, the column player's
+    only where the row player's weights are in the simplex, and one screen reads
+    every candidate's gains off two matrix products, dropping those past the
+    solver epsilon by more than the two gain paths' rounding (NaN is kept). The
+    rest go in ``(rows, cols)`` order through the per-candidate filter, and a
+    ``MixedProfile`` is built only for a kept equilibrium. Every returned
+    certificate is checked to solver precision. At most 8 strategies per player.
     """
     if game.num_players != 2:
         raise ValueError("support enumeration is implemented for two players")
@@ -240,32 +241,31 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
         raise ValueError("support enumeration is limited to 8 strategies per player")
     a, b = game.payoff_tensors
     eps = DEFAULT_TOLS.solver_epsilon
+    # a payoff on either gain path sums at most max(k1, k2) payoff-weight products
+    cut = eps + 64 * max(k1, k2) * np.finfo(float).eps * max(abs(a).max(), abs(b).max())
     found: list[EquilibriumCertificate] = []
     seen: list[tuple[np.ndarray, np.ndarray]] = []
     for size in range(1, min(k1, k2) + 1):
         rows = np.array(list(itertools.combinations(range(k1), size)))
         cols = np.array(list(itertools.combinations(range(k2), size)))
-        # pair k is (rows[k // len(cols)], cols[k % len(cols)])
         ys, y_ok = _indifference_weights(
-            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size)
-        )
-        xs, x_ok = _indifference_weights(
-            b.T[cols[None, :, :, None], rows[:, None, None, :]].reshape(-1, size, size)
-        )
-        for k in np.flatnonzero(x_ok & y_ok):
-            r, c = divmod(int(k), len(cols))
-            dx, dy = _embed(xs[k], rows[r], k1), _embed(ys[k], cols[c], k2)
+            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size))
+        r, c = np.divmod(np.flatnonzero(y_ok), len(cols))   # pairs (rows[r], cols[c])
+        xs, x_ok = _indifference_weights(b.T[cols[c][:, :, None], rows[r][:, None, :]])
+        dxs, dys = _embed(xs[x_ok], rows[r[x_ok]], k1), _embed(ys[y_ok][x_ok], cols[c[x_ok]], k2)
+        pa, pb = dys @ a.T, dxs @ b
+        with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN screen is kept
+            keep = ~(np.maximum(pa.max(axis=1) - (pa * dxs).sum(axis=1),
+                                pb.max(axis=1) - (pb * dys).sum(axis=1)) > cut)
+        for dx, dy in zip(dxs[keep], dys[keep]):
             gains = _deviation_gains((a, b), (dx, dy))
-            if gains.max() > eps:
-                continue
-            if any(
-                max(np.abs(dx - px).max(), np.abs(dy - py).max()) <= DEFAULT_TOLS.equilibrium_match
-                for px, py in seen
-            ):
+            if gains.max() > eps or any(
+                    max(np.abs(dx - px).max(), np.abs(dy - py).max())
+                    <= DEFAULT_TOLS.equilibrium_match for px, py in seen):
                 continue
             seen.append((dx, dy))
-            epsilon = float(max(gains.max(), 0.0))
-            found.append(EquilibriumCertificate(MixedProfile([dx, dy]), epsilon, tuple(gains)))
+            found.append(EquilibriumCertificate(
+                MixedProfile([dx, dy]), float(max(gains.max(), 0.0)), tuple(gains)))
     return found
 
 

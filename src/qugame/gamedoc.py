@@ -369,8 +369,8 @@ def parse_schedule(text: str) -> AdiabaticSchedule:
     time = _real(doc.get("time"), "time")
     try:
         return AdiabaticSchedule(ops[0], ops[1], s_values, time)
-    except ValueError as exc:
-        raise DocumentError("$", str(exc)) from exc
+    except ValueError as exc:   # the phase refusal names the time; the rest span fields
+        raise DocumentError("time" if str(exc).startswith("time ") else "$", str(exc)) from exc
 
 
 def serialize_schedule(schedule: AdiabaticSchedule) -> str:

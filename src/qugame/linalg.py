@@ -316,7 +316,11 @@ def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> U
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
     w, v = np.linalg.eigh(op.matrix)
-    u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    with np.errstate(over="ignore"):   # inf is refused below
+        phase = w * float(t)
+    if not np.all(np.isfinite(phase)):
+        raise ValueError("phase eigenvalue * time exceeds the float maximum")
+    u = (v * np.exp(-1j * phase)) @ v.conj().T
     return UnitaryOperator(u)
 
 

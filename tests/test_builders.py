@@ -350,7 +350,17 @@ BUILDER_REFUSALS = {
                           "the two-player split needs a square joint dimension"),
     "joint dimension 1": (lambda: bld.build_adiabatic_game(_schedule(1), 0.5),
                           "each player needs a qudit of dimension >= 2"),
+    "phase past the float maximum": (
+        lambda: bld.AdiabaticSchedule(_schedule(4).h_initial, _schedule(4).h_final, (0.0,), 1e308),
+        "time 1e+308 times the spectral bound 3.0 of H(s) exceeds the float maximum"),
 }
+
+
+def test_schedule_time_up_to_the_phase_bound_is_accepted():
+    h = _schedule(4).h_final   # spectral bound 3
+    time = np.nextafter(np.finfo(float).max / 3.0, 0.0)   # the largest with 3 * time finite
+    game = bld.build_adiabatic_game(bld.AdiabaticSchedule(h, h, (0.5,), time), 0.5)
+    assert np.isfinite(game.unitary.matrix).all()
 
 
 @pytest.mark.parametrize("case", BUILDER_REFUSALS)

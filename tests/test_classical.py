@@ -1,5 +1,6 @@
 """Finite games, mixed extensions, countering sets, support enumeration."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -413,10 +414,22 @@ def test_support_enumeration_matches_oracle_with_singular_subsystems(tensors):
     assert_certificates_equal(certs, oracle_enumeration(game))
 
 
+def per_row_embed(weights, support, size):
+    """The one-row embedding the enumeration used before it embedded stacks; kept
+    here so this oracle does not call the stacked code under test."""
+    full = np.zeros(size)
+    full[support] = np.clip(weights, 0.0, None)
+    total = full.sum()
+    if total <= 0:
+        return full
+    return full / total
+
+
 def profile_per_candidate_enumeration(game):
     """The enumeration loop as it ran before the gains moved onto raw arrays:
-    the same stacked solves, but one validated profile and one
-    ``deviation_gains`` call for every candidate in the simplex."""
+    the same stacked solves (the column player's for every pair), but one
+    validated profile and one ``deviation_gains`` call for every candidate in
+    the simplex."""
     k1, k2 = game.strategy_counts
     a, b = game.payoff_tensors
     found, seen = [], []
@@ -431,8 +444,8 @@ def profile_per_candidate_enumeration(game):
         )
         for k in np.flatnonzero(x_ok & y_ok):
             r, c = divmod(int(k), len(cols))
-            profile = MixedProfile([classical._embed(xs[k], rows[r], k1),
-                                    classical._embed(ys[k], cols[c], k2)])
+            profile = MixedProfile([per_row_embed(xs[k], rows[r], k1),
+                                    per_row_embed(ys[k], cols[c], k2)])
             gains = deviation_gains(game, profile)
             if gains.max() > DEFAULT_TOLS.solver_epsilon:
                 continue
@@ -462,6 +475,47 @@ def test_support_enumeration_matches_the_profile_per_candidate_loop(k1, k2, seed
                               profile_per_candidate_enumeration(game))
 
 
+def enumeration_outcome(enumerate_equilibria, game, warnings_ignored=False):
+    """Every certificate's bits, or the type and message of the exception raised."""
+    try:
+        with warnings.catch_warnings():
+            if warnings_ignored:
+                warnings.simplefilter("ignore", RuntimeWarning)
+            found = enumerate_equilibria(game)
+    except Exception as exc:   # compared, not swallowed: both sides must raise alike
+        return type(exc), str(exc)
+    return [(dx.tobytes(), dy.tobytes(), np.float64(epsilon).tobytes(), np.array(gains).tobytes())
+            for dx, dy, epsilon, gains in found]
+
+
+def certificate_items(game):
+    return [(*c.profile.distributions, c.epsilon, c.per_player_gain)
+            for c in support_enumeration_nash(game)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.none() | st.integers(min_value=-1000, max_value=1020),
+)
+@example(k1=8, k2=8, seed=0, scale=1020)   # NaN weights: the loop raises, a NaN-dropping screen not
+def test_support_enumeration_screen_matches_the_per_candidate_loop(k1, k2, seed, scale):
+    """The bulk screen drops only candidates the per-candidate filter drops, at
+    every payoff scale, so certificates keep their bits and errors their text
+    (a RuntimeWarning fails the test, as under ``python -W error``)."""
+    rng = np.random.default_rng(seed)
+    if scale is None:   # small integer payoffs: ties and singular subsystems
+        tensors = [rng.integers(-2, 3, size=(k1, k2)).astype(float) for _ in range(2)]
+    else:   # normal payoffs times 2**scale, up to where the solves overflow
+        tensors = [np.ldexp(rng.standard_normal((k1, k2)), scale) for _ in range(2)]
+    game = FiniteGame(tensors)
+    # the loop warns on an inf or NaN row it reaches; the screen raises no warning
+    assert (enumeration_outcome(certificate_items, game)
+            == enumeration_outcome(profile_per_candidate_enumeration, game, warnings_ignored=True))
+
+
 @pytest.mark.parametrize("sizes", [(6, 6), (8, 8), (4, 7)])
 def test_support_enumeration_builds_a_profile_per_equilibrium_only(monkeypatch, sizes):
     rng = np.random.default_rng(sum(sizes))
@@ -473,10 +527,19 @@ def test_support_enumeration_builds_a_profile_per_equilibrium_only(monkeypatch, 
         built.append(1)
         init(self, distributions)
 
+    calls = []
+    gains = classical._deviation_gains
+
+    def counting_gains(tensors, dists):
+        calls.append(1)
+        return gains(tensors, dists)
+
     monkeypatch.setattr(MixedProfile, "__init__", counting_init)
+    monkeypatch.setattr(classical, "_deviation_gains", counting_gains)
     certs = support_enumeration_nash(game)
     assert certs
     assert len(built) == len(certs)
+    assert len(calls) == len(certs)   # per-candidate gains only past the bulk screen
 
 
 # ----------------------------------------------------------- equilibria ---

@@ -1,8 +1,9 @@
 """End-to-end checks of the command line front end.
 
-Everything runs in-process through run_cli against files in tmp_path; two
-tests go through a real subprocess, one to cover the module entry point and
-one to see which subcommands load scipy in a fresh interpreter.
+Everything runs in-process through run_cli against files in tmp_path; three
+tests go through a real subprocess: one covers the module entry point, one
+sees which subcommands load scipy in a fresh interpreter, and one runs with
+every warning an error.
 """
 import hashlib
 import json
@@ -961,6 +962,22 @@ def test_only_geometry_loads_scipy(tmp_path):
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_refuses_a_time_whose_phase_overflows_under_warnings_as_errors(tmp_path):
+    doc = load(build(tmp_path, "schedule"))
+    doc["time"] = 1.7e308   # finite, but the phase eigenvalue * time is not
+    sched = tmp_path / "long.json"
+    sched.write_text(json.dumps(doc))
+    src = Path(qugame.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qugame.cli", "sweep", "--input", str(sched),
+         "--starts", "1", "--out", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: time: time 1.7e+308 times the spectral bound ")
+    assert proc.stderr.endswith(" of H(s) exceeds the float maximum\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_module_entry_point_subprocess(tmp_path):

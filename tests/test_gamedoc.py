@@ -299,6 +299,13 @@ DOCUMENT_REFUSALS = {
 }
 
 
+def test_a_schedule_time_past_the_phase_bound_is_refused_at_time():
+    with pytest.raises(gd.DocumentError) as err:
+        gd.parse_schedule(edited(SCHEDULE_TEXT, lambda d: d.update(time=1.7e308)))
+    assert err.value.path == "time"
+    assert str(err.value).startswith("time: time 1.7e+308 times the spectral bound ")
+
+
 @pytest.mark.parametrize("case", DOCUMENT_REFUSALS)
 def test_each_document_refusal_names_its_field(case):
     parse, text, edit, path, message = DOCUMENT_REFUSALS[case]

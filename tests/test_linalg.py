@@ -408,6 +408,9 @@ LINALG_REFUSALS = {
                              ValueError, "target has dimension 8, play joint dimension 4"),
     "infinite time": (lambda: matrix_exponential_unitary(np.eye(2), np.inf), ValueError,
                       "time parameter must be finite"),
+    "phase past the float maximum": (   # refused before exp, with no overflow warning
+        lambda: matrix_exponential_unitary(np.diag([2.0, -3.0]), 1e308), ValueError,
+        "phase eigenvalue * time exceeds the float maximum"),
     "Haar state of dimension 1": (lambda: haar_random_state(1, 0), ValueError,
                                   "a qudit state needs dimension >= 2"),
     "Haar unitary of dimension 0": (lambda: haar_random_unitary(0, 0), ValueError,
