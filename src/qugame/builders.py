@@ -18,13 +18,13 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
+    _exponentials,
     _fixed_phase,
     _haar_rows,
     _row_norms,
     _unit_rows,
     as_rng,
     canonicalize_phase,
-    matrix_exponential_unitary,
 )
 from .quantum import (
     MAX_STARTS,
@@ -34,8 +34,8 @@ from .quantum import (
     _check_dynamics_args,
     _dynamics,
     _factor_distances,
+    _fixed_point_rows,
     _payoff_of,
-    overlap_fixed_point_candidates,
     prepared_vector,
     verify_epsilon_nash_quantum,
 )
@@ -181,11 +181,8 @@ class AdiabaticSchedule:
         return self.h_initial.dimension
 
 
-def build_adiabatic_game(
-    schedule: AdiabaticSchedule,
-    s: float,
-    payoff_targets: tuple[PureState, PureState] | None = None,
-) -> QuantumGame:
+def build_adiabatic_game(schedule: AdiabaticSchedule, s: float,
+                         payoff_targets: tuple[PureState, PureState] | None = None) -> QuantumGame:
     """Zero-sum-flavored overlap game at one dial setting of the schedule.
 
     The referee is exp(-i H(s) t) for the interpolated Hamiltonian. By
@@ -195,19 +192,26 @@ def build_adiabatic_game(
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("dial value must lie in [0, 1]")
+    return _adiabatic_games(schedule, (s,), payoff_targets)[0][0]
+
+
+def _adiabatic_games(schedule: AdiabaticSchedule, s_values: Sequence[float],
+                     payoff_targets: tuple[PureState, PureState] | None) -> tuple:
+    """:func:`build_adiabatic_game` at each of ``s_values``, and the unitaries as one stack: every
+    H(s) from one broadcast product, all exponentiated at once, each with the bits it has alone."""
     dim = schedule.dimension
     root = math.isqrt(dim)
     if root * root != dim:
         raise ValueError("the two-player split needs a square joint dimension")
     if root < 2:
         raise ValueError("each player needs a qudit of dimension >= 2")
-    h = HermitianOperator(
-        s * schedule.h_initial.matrix + (1.0 - s) * schedule.h_final.matrix
-    )
-    q = matrix_exponential_unitary(h, schedule.time)
-    if payoff_targets is None:
-        payoff_targets = _final_targets(schedule.h_final)
-    return build_state_preparation_game((root, root), q, payoff_targets)
+    s = np.array(s_values, dtype=float)[:, None, None]
+    hs = s * schedule.h_initial.matrix + (1.0 - s) * schedule.h_final.matrix
+    for h in hs:   # each H(s) is checked as an operator of its own, as each U(s) is below
+        HermitianOperator(h)
+    unitaries = _exponentials(hs, schedule.time)
+    targets = _final_targets(schedule.h_final) if payoff_targets is None else payoff_targets
+    return [build_state_preparation_game((root, root), u, targets) for u in unitaries], unitaries
 
 
 @dataclass(frozen=True)
@@ -245,73 +249,65 @@ def _check_sweep_args(starts_per_s: int, tol: float, max_iter: int, epsilon: flo
     check_threshold("epsilon", epsilon)
 
 
-def sweep_adiabatic(
-    schedule: AdiabaticSchedule,
-    starts_per_s: int,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-    epsilon: float = 1e-6,
-    seed: int | np.random.Generator | None = 0,
-) -> SweepReport:
+def sweep_adiabatic(schedule: AdiabaticSchedule, starts_per_s: int, *, tol: float = 1e-9,
+                    max_iter: int = 500, epsilon: float = 1e-6,
+                    seed: int | np.random.Generator | None = 0) -> SweepReport:
     """Run best-response dynamics across the schedule's dial values.
 
-    Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts,
-    drawn as one array from the shared rng before any of that value's
-    verification probes, and run as one stack (several on a large game). A row
-    records the dynamics outcome, player 1's payoff, the magnitude of the
-    prepared state's overlap with the final ground state, and whether the final
-    play passed equilibrium verification at ``epsilon``; rows are verified one at
-    a time, in row order.
+    Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts. The
+    whole schedule runs as one stack: its games are built in one batch, every start is
+    drawn as one array from the shared rng before any verification probe, and all run as
+    one stacked dynamics, each under its dial value's unitary. A row records the dynamics
+    outcome, player 1's payoff, the magnitude of the prepared state's overlap with the
+    final ground state, and whether the final play passed equilibrium verification at
+    ``epsilon``; rows are verified one at a time, in row order.
 
-    The two default targets are orthogonal, which makes the round-robin sweep
-    map traceless: away from the degenerate endpoints the dynamics orbit the
-    equilibria with period 2 instead of reaching them. A detected cycle is
-    therefore handed to the closed-form fixed-point extraction, and the row
-    reports the resolved equilibrium (outcome ``cycle_resolved``) with the
-    cycle kept only when no candidate survives verification. An accepted
-    candidate's certificate is the row's, so a row is verified once unless its
-    candidate fails (this and the start order changed seeded rows on purpose).
+    The two default targets are orthogonal, which makes the round-robin sweep map
+    traceless: away from the degenerate endpoints the dynamics orbit the equilibria with
+    period 2 instead of reaching them. A cycled row is resolved to its nearest closed-form
+    fixed point, extracted in one batch for every dial value where a start cycled (outcome
+    ``cycle_resolved``); that candidate's certificate is the row's, and the final play is
+    verified only when the candidate fails.
     """
     _check_sweep_args(starts_per_s, tol, max_iter, epsilon)
     rng = as_rng(seed)
     targets = _final_targets(schedule.h_final)   # schedule-invariant: (ground, complement)
-    rows: list[SweepRow] = []
-    converged = verified = 0
-    for s in schedule.s_values:
-        game = build_adiabatic_game(schedule, s, targets)
-        starts = _haar_rows(game.dims, starts_per_s, rng)
-        outcomes = _dynamics(game, starts, tol=tol, max_iter=max_iter, trace=False)
-        cycled = any(o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes)
-        candidates = overlap_fixed_point_candidates(game) if cycled else []   # draws nothing
-        for start_id, outcome in enumerate(outcomes):   # raw factors; no play is validated
+    games, unitaries = _adiabatic_games(schedule, schedule.s_values, targets)
+    k = starts_per_s
+    starts = _haar_rows(games[0].dims, len(games) * k, rng)
+    outcomes = _dynamics(games[0], starts, tol=tol, max_iter=max_iter, trace=False,
+                         referees=unitaries)
+    cycled = np.reshape([o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes], (-1, k))
+    at = np.flatnonzero(cycled.any(axis=1))   # dial values where a start cycled
+    owner, first, second = _fixed_point_rows(games[0], unitaries[at])
+    owner, rows = at[owner], []
+    for j, (s, game) in enumerate(zip(schedule.s_values, games)):
+        runs, picks = outcomes[j * k:(j + 1) * k], {}
+        loops, mine = np.flatnonzero(cycled[j]), np.flatnonzero(owner == j)
+        if loops.size and mine.size:   # each cycled row's first nearest candidate
+            finals = [np.stack([runs[r].factors[i] for r in loops]) for i in range(2)]
+            near = _factor_distances([first[mine, None], second[mine, None]], finals)
+            picks = dict(zip(loops.tolist(), mine[near.argmin(axis=0)].tolist()))
+        plays = {c: ProductPlay((first[c], second[c])) for c in set(picks.values())}  # to verify
+        for start_id, outcome in enumerate(runs):   # raw factors; no play is validated
             final, label, cert = outcome.factors, outcome.status.value, None
-            if outcome.status is DynamicsStatus.CYCLE_DETECTED and candidates:
-                resolved = min(candidates, key=lambda c: float(
-                    _factor_distances(game.check_play(c), final)))
-                cert = verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8, seed=rng)
+            if start_id in picks:
+                play = plays[picks[start_id]]
+                cert = verify_epsilon_nash_quantum(game, play, epsilon, num_probes=8, seed=rng)
                 if cert is not None:
-                    final, label = game.check_play(resolved), "cycle_resolved"
+                    final, label = game.check_play(play), "cycle_resolved"
             if cert is None:
                 cert = verify_epsilon_nash_quantum(
                     game, ProductPlay(final), epsilon, num_probes=8, seed=rng)
             prepared = prepared_vector(game, final)
             unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
-            ok = cert is not None
-            converged += int(outcome.status is DynamicsStatus.CONVERGED)
-            verified += int(ok)
-            rows.append(
-                SweepRow(
-                    s=float(s),
-                    start_id=start_id,
-                    outcome=label,
-                    iterations=outcome.iterations,
-                    payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
-                    ground_overlap_magnitude=float(abs(np.vdot(targets[0].amplitudes, unit))),
-                    verified=ok,
-                )
-            )
-    return SweepReport(rows=tuple(rows), converged=converged, verified=verified)
+            rows.append(SweepRow(
+                s=float(s), start_id=start_id, outcome=label, iterations=outcome.iterations,
+                payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
+                ground_overlap_magnitude=float(abs(np.vdot(targets[0].amplitudes, unit))),
+                verified=cert is not None))
+    return SweepReport(rows=tuple(rows), verified=sum(row.verified for row in rows),
+                       converged=sum(o.status is DynamicsStatus.CONVERGED for o in outcomes))
 
 
 def bell_state_preparation_demo() -> QuantumGame:

@@ -199,7 +199,12 @@ def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n, m = blocks.shape[:2]
     systems = np.zeros((n, m + 1, m + 1))
-    systems[:, :m, :m] = blocks
+    # the weights do not depend on a block's scale, but v follows it, grown by up to 2^8 from
+    # pivoting, 2^4 from sums of m + 1 <= 9 terms and the condition number: a block past 2^512
+    # (or below 2^-512, where pivots go subnormal) is solved at an exact power-of-two scale inside
+    exponent = np.frexp(abs(blocks).max(axis=(1, 2)))[1]
+    shift = exponent - np.clip(exponent, -511, 512)
+    systems[:, :m, :m] = np.ldexp(blocks, -shift[:, None, None])
     systems[:, :m, m] = -1.0      # common payoff value v
     systems[:, m, :m] = 1.0       # weights sum to one
     rhs = np.broadcast_to(np.eye(m + 1)[:, m:], (n, m + 1, 1))
@@ -239,8 +244,11 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
     k1, k2 = game.strategy_counts
     if max(k1, k2) > 8:
         raise ValueError("support enumeration is limited to 8 strategies per player")
-    a, b = game.payoff_tensors
-    eps = DEFAULT_TOLS.solver_epsilon
+    # a screen or gain is a difference of two sums of at most 8 payoff-weight products (weights
+    # summing to 1): past 2^1022 the game is screened at an exact 2^-shift, gains scaled back
+    shift = max(0, int(np.frexp(max(abs(t).max() for t in game.payoff_tensors))[1]) - 1022)
+    a, b = (np.ldexp(t, -shift) for t in game.payoff_tensors)
+    eps = np.ldexp(DEFAULT_TOLS.solver_epsilon, -shift)
     # a payoff on either gain path sums at most max(k1, k2) payoff-weight products
     cut = eps + 64 * max(k1, k2) * np.finfo(float).eps * max(abs(a).max(), abs(b).max())
     found: list[EquilibriumCertificate] = []
@@ -264,6 +272,7 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
                     <= DEFAULT_TOLS.equilibrium_match for px, py in seen):
                 continue
             seen.append((dx, dy))
+            gains = np.ldexp(gains, shift)
             found.append(EquilibriumCertificate(
                 MixedProfile([dx, dy]), float(max(gains.max(), 0.0)), tuple(gains)))
     return found

@@ -203,18 +203,20 @@ def payoff(game: QuantumGame, play: ProductPlay, i: int) -> complex:
     return complex(_payoff_of(game.payoffs[i], prepared_vector(game, game.check_play(play))))
 
 
-def _slot_map(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
+def _slot_map(game: QuantumGame, factors: Sequence[np.ndarray], i: int,
+              referees: np.ndarray | None = None) -> np.ndarray:
     """W, shape (k, joint, dims[i]), with prepared_vector == W @ q for player ``i``'s slot
-    vector q against each row of the others' ``(k, dims[j])`` factor stacks (a one-row
-    stack broadcasts). W contracts U's column axes with the opponents' factors: O(d^2)
-    time per row at joint dimension d, no joint operator formed (with more than two
-    players, the first contraction holds k * d^2 / dims[j] entries for the last opponent
-    j; :func:`_dynamics` bounds k by ``STACK_ENTRIES``). The last remaining axis is
-    contracted by one matrix-vector product per stack row, the one before player i's
-    (once theirs is last) by batched products on swapped axes; a one-row stack takes the
-    same products, so rows keep their bits (one product over all k rows would not)."""
+    vector q against each row of the others' ``(k, dims[j])`` factor stacks and of the
+    ``referees`` U (each row's, or the game's unitary; a one-row stack broadcasts). W
+    contracts U's column axes with the opponents' factors: O(d^2) time per row at joint
+    dimension d, no joint operator formed (with more than two players, the first
+    contraction holds k * d^2 / dims[j] entries for the last opponent j; :func:`_dynamics`
+    bounds k by ``STACK_ENTRIES``). The last remaining axis is contracted by one
+    matrix-vector product per stack row, the one before player i's (once theirs is last)
+    by batched products on swapped axes; a one-row stack takes the same products, so rows
+    keep their bits (one product over all k rows would not)."""
     dims = game.dims
-    w = game.unitary.matrix.reshape((1, game.joint_dimension, *dims))
+    w = (game.unitary.matrix if referees is None else referees).reshape(-1, math.prod(dims), *dims)
     # highest axis first keeps the lower axis numbers valid; matmul reads the views uncopied
     for j in reversed([j for j in range(len(dims)) if j != i]):
         f = factors[j]
@@ -258,11 +260,13 @@ def _slot_optimum(game: QuantumGame, w: np.ndarray, f: np.ndarray, i: int) -> tu
     return vectors[np.arange(len(top)), :, top], attainable, current
 
 
-def _best_rows(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.ndarray:
-    """Player ``i``'s canonical best response to each row of the factor stacks: the
-    :func:`_slot_optimum` direction normalized and phase-fixed, except that an
-    indifferent overlap row (|v| within tolerance) keeps its factor."""
-    direction, attainable, _ = _slot_optimum(game, _slot_map(game, factors, i), factors[i], i)
+def _best_rows(game: QuantumGame, factors: Sequence[np.ndarray], i: int,
+               referees: np.ndarray | None = None) -> np.ndarray:
+    """Player ``i``'s canonical best response to each row of the factor stacks (under
+    :func:`_slot_map`'s ``referees``): the :func:`_slot_optimum` direction normalized and
+    phase-fixed, except that an indifferent overlap row (|v| within tolerance) keeps its factor."""
+    w = _slot_map(game, factors, i, referees)
+    direction, attainable, _ = _slot_optimum(game, w, factors[i], i)
     if isinstance(game.payoffs[i], ObservablePayoff):
         return _unit_rows(direction, _row_norms(direction))
     moved = attainable > DEFAULT_TOLS.indifference   # attainable is |v|
@@ -271,11 +275,6 @@ def _best_rows(game: QuantumGame, factors: Sequence[np.ndarray], i: int) -> np.n
     best = factors[i].copy()
     best[moved] = _unit_rows(direction[moved], attainable[moved])
     return best
-
-
-def _pull_back(game: QuantumGame, target: np.ndarray) -> np.ndarray:
-    """U^H target, computed without a conjugate-transposed copy of U."""
-    return (target.conj() @ game.unitary.matrix).conj()
 
 
 def overlap_contraction(game: QuantumGame, play: ProductPlay, i: int) -> np.ndarray:
@@ -374,17 +373,17 @@ def play_distance(a: ProductPlay, b: ProductPlay) -> float:
 
 CYCLE_WINDOW = 32   # sweeps of history searched for a revisit
 
-# a slot form's first contraction holds up to joint**2 / min(dims) complex entries per
-# start ((starts, joint, dims[i]) for two players); _dynamics runs at most STACK_ENTRIES
-# of them (64 MiB) per stack, or one start at a time where one start needs more
+# a slot form's first contraction holds up to joint**2 / min(dims) complex entries per start
+# ((starts, joint, dims[i]) for two players), joint**2 more with its own referee; _dynamics
+# runs at most STACK_ENTRIES of them (64 MiB) per stack, or one start at a time beyond that
 STACK_ENTRIES = 1 << 22
 MAX_STARTS = 128   # starts drawn, held and reported by one multi-start call
 
 
-def _stack_size(dims: Sequence[int]) -> int:
+def _stack_size(dims: Sequence[int], referee: bool = False) -> int:
     """Starts per stack in :func:`_dynamics` for a game of these dims: as many as
-    ``STACK_ENTRIES`` slot-form intermediate entries allow, at least one."""
-    return max(1, STACK_ENTRIES * min(dims) // math.prod(dims) ** 2)
+    ``STACK_ENTRIES`` slot-form intermediate (and carried referee) entries allow, at least one."""
+    return max(1, STACK_ENTRIES * min(dims) // (math.prod(dims) ** 2 * (1 + referee * min(dims))))
 
 
 def _check_dynamics_args(tol: float, max_iter: int) -> None:
@@ -393,28 +392,30 @@ def _check_dynamics_args(tol: float, max_iter: int) -> None:
         raise ValueError("max_iter must be positive")
 
 
-def _dynamics(
-    game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
-) -> list[DynamicsOutcome]:
-    """:func:`iterated_best_response` from every row of the ``(k, dims[i])`` start
-    stacks, :func:`_stack_size` rows at a time. Rows are independent and a stack
-    contracts each row as it would alone, so the split moves no factor, status or
-    step bits; trace payoffs, one matrix product per stack, round with its width."""
-    size = _stack_size(game.dims)
-    return [outcome for at in range(0, len(starts[0]), size)
-            for outcome in _stack_dynamics(game, [s[at:at + size] for s in starts],
-                                           tol=tol, max_iter=max_iter, trace=trace)]
+def _dynamics(game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int,
+              trace: bool, referees: np.ndarray | None = None) -> list[DynamicsOutcome]:
+    """:func:`iterated_best_response` from every row of the ``(k, dims[i])`` start stacks,
+    :func:`_stack_size` rows at a time, under each of m ``referees`` (else the game's unitary)
+    over k / m consecutive rows, gathered per stack. A stack contracts each row as it would
+    alone, so the split moves no factor, status or step bits; trace payoffs (read with the
+    game's unitary, one product per stack) round with its width."""
+    rows, size = len(starts[0]), _stack_size(game.dims, referees is not None)
+    owners = None if referees is None else np.arange(rows) * len(referees) // rows
+    return [outcome for at in range(0, rows, size)
+            for outcome in _stack_dynamics(
+                game, [s[at:at + size] for s in starts],
+                None if referees is None else referees[owners[at:at + size]],
+                tol=tol, max_iter=max_iter, trace=trace)]
 
 
-def _stack_dynamics(
-    game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int, trace: bool
-) -> list[DynamicsOutcome]:
-    """:func:`iterated_best_response` from every row of the start stacks at once.
-    Each sweep takes one :func:`_best_rows` per player for the whole stack;
-    convergence and revisits are judged per row, against a history of the last
-    ``CYCLE_WINDOW`` sweeps, and a start leaves the stack when it converges or
-    closes a cycle. Trace records, from one :func:`prepared_vector` of the stack
-    per sweep, are kept only if ``trace``."""
+def _stack_dynamics(game: QuantumGame, starts: Sequence[np.ndarray], referees: np.ndarray | None,
+                    *, tol: float, max_iter: int, trace: bool) -> list[DynamicsOutcome]:
+    """:func:`iterated_best_response` from every row of the start stacks at once (each under
+    its row of ``referees``, if any). Each sweep takes one :func:`_best_rows` per player for
+    the whole stack; convergence and revisits are judged per row, against a history of the
+    last ``CYCLE_WINDOW`` sweeps, and a start leaves the stack, with its referee, when it
+    converges or closes a cycle. Trace records, from one :func:`prepared_vector` of the
+    stack per sweep, are kept only if ``trace``."""
     factors = list(starts)
     ids = np.arange(len(factors[0]))   # the start of each stack row
     # the factors of the last CYCLE_WINDOW sweeps, oldest first: at sweep n, of sweeps
@@ -431,7 +432,7 @@ def _stack_dynamics(
     while ids.size and sweep < max_iter:
         sweep += 1
         for i in range(game.num_players):
-            factors[i] = _best_rows(game, factors, i)
+            factors[i] = _best_rows(game, factors, i, referees)
         distances = _factor_distances(history, factors)
         step = distances[-1]
         if trace:
@@ -462,6 +463,7 @@ def _stack_dynamics(
                 break
             history = [h[:, going] for h in history]
             factors = [f[going] for f in factors]
+            referees = None if referees is None else referees[going]
         history = [np.concatenate((h[1 - CYCLE_WINDOW:], f[None]))
                    for h, f in zip(history, factors)]
     for r in range(len(ids)):   # sweep == max_iter here
@@ -533,21 +535,26 @@ def overlap_fixed_point_candidates(game: QuantumGame) -> list[ProductPlay]:
         raise ValueError("fixed-point extraction needs a two-player game")
     if not all(isinstance(p, OverlapPayoff) for p in game.payoffs):
         raise ValueError("fixed-point extraction needs overlap payoffs for both players")
-    d1, d2 = game.dims
-    pulled_1 = _pull_back(game, game.payoffs[0].target.amplitudes).reshape(d1, d2)
-    pulled_2 = _pull_back(game, game.payoffs[1].target.amplitudes).reshape(d1, d2)
-    sweep_map = pulled_2.T @ pulled_1.conj()
-    values, vectors = np.linalg.eig(sweep_map)
-    plays: list[ProductPlay] = []
-    for k in np.argsort(-np.abs(values), kind="stable"):
-        if abs(values[k]) <= DEFAULT_TOLS.phase_cutoff:
-            continue
-        second = canonicalize_phase(vectors[:, k])
-        induced = pulled_1 @ np.conj(second.amplitudes)
-        if np.linalg.norm(induced) <= DEFAULT_TOLS.phase_cutoff:
-            continue
-        plays.append(ProductPlay((canonicalize_phase(induced), second)))
-    return plays
+    _, first, second = _fixed_point_rows(game, game.unitary.matrix[None])
+    return [ProductPlay(pair) for pair in zip(first, second)]
+
+
+def _fixed_point_rows(game: QuantumGame, referees: np.ndarray) -> tuple:
+    """:func:`overlap_fixed_point_candidates` under each unitary of an (n, joint, joint) stack as
+    canonical raw rows, each candidate's stack index (ascending, then in the plays' order) and
+    both players' rows, from one batched eig; each row has the bits of the per-game extraction."""
+    d1, d2 = game.dims   # each pulled-back target U^H t, without a conjugate-transposed U
+    pulled_1, pulled_2 = ((p.target.amplitudes.conj() @ referees).conj().reshape(-1, d1, d2)
+                          for p in game.payoffs)
+    values, vectors = np.linalg.eig(pulled_2.swapaxes(-1, -2) @ pulled_1.conj())
+    order = np.argsort(-np.abs(values), axis=-1, kind="stable")
+    owner, k = np.nonzero(np.abs(np.take_along_axis(values, order, -1)) > DEFAULT_TOLS.phase_cutoff)
+    raw = vectors[owner, :, order[owner, k]]
+    second = _unit_rows(raw, _row_norms(raw))
+    induced = (pulled_1[owner] @ second.conj()[..., None])[..., 0]
+    norms = _row_norms(induced)
+    kept = norms > DEFAULT_TOLS.phase_cutoff
+    return owner[kept], _unit_rows(induced[kept], norms[kept]), second[kept]
 
 
 @dataclass(frozen=True)
@@ -675,7 +682,7 @@ def _scalar_payoff_tables(
     tables = []
     for spec in game.payoffs:
         if isinstance(spec, OverlapPayoff):
-            pulled = np.conj(_pull_back(game, spec.target.amplitudes)).reshape(2, 2)
+            pulled = (spec.target.amplitudes.conj() @ game.unitary.matrix).reshape(2, 2)
             tables.append(np.abs(grid @ pulled @ grid.T))
         else:
             # every partial sum is at most 16 max|eigenvalue|: past 2^1019 it is

@@ -4,11 +4,22 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import qugame.quantum as qq
 from qugame import builders as bld
-from qugame.linalg import HermitianOperator, PureState, UnitaryOperator, haar_random_state
+from qugame.config import DEFAULT_TOLS
+from qugame.linalg import (
+    HermitianOperator,
+    ProductPlay,
+    PureState,
+    UnitaryOperator,
+    _fixed_phase,
+    _haar_rows,
+    canonicalize_phase,
+    haar_random_state,
+)
 
 
 # ------------------------------------------------------- state preparation ---
@@ -275,19 +286,19 @@ def test_sweep_builds_its_targets_once_and_prepares_each_row_once(monkeypatch):
 
 
 def test_sweep_builds_fixed_point_candidates_only_where_a_start_cycled(monkeypatch):
-    # the endpoints converge, so only the interior dial values need candidates
-    built = []
-    real = bld.overlap_fixed_point_candidates
+    # the endpoints converge, so only the interior dial values' referees reach the kernel
+    received = []
+    real = bld._fixed_point_rows
 
-    def counting(game):
-        built.append(game)
-        return real(game)
+    def counting(game, referees):
+        received.append(len(referees))
+        return real(game, referees)
 
-    monkeypatch.setattr(bld, "overlap_fixed_point_candidates", counting)
+    monkeypatch.setattr(bld, "_fixed_point_rows", counting)
     sched = bld.demo_adiabatic_schedule()
     report = bld.sweep_adiabatic(sched, 2, seed=17)
     cycled = {row.s for row in report.rows if row.outcome.startswith("cycle")}
-    assert len(built) == len(cycled) < len(sched.s_values)
+    assert received == [len(cycled)] and len(cycled) < len(sched.s_values)
     converged = {row.s for row in report.rows if row.outcome == "converged"}
     assert converged and not converged & cycled
 
@@ -318,6 +329,134 @@ def test_sweep_draws_a_dial_values_starts_before_its_probes(monkeypatch):
         play = qq.random_play(game, rng)
         for stack, factor in zip(stacks, play.factors):
             assert stack[r].tobytes() == factor.amplitudes.tobytes()
+
+
+def test_sweep_draws_every_start_before_any_probe(monkeypatch):
+    # every start of a multi-dial sweep runs in one stacked dynamics call, drawn before
+    # any probe: bit for bit the first n * k random_play calls on the sweep's rng
+    sched = bld.demo_adiabatic_schedule()
+    starts = []
+    real = bld._dynamics
+
+    def recording(game, stacks, **kwargs):
+        starts.append(stacks)
+        return real(game, stacks, **kwargs)
+
+    monkeypatch.setattr(bld, "_dynamics", recording)
+    bld.sweep_adiabatic(sched, 3, seed=17)
+    rng = np.random.default_rng(17)
+    game = bld.build_adiabatic_game(sched, 0.5)
+    (stacks,) = starts
+    assert len(stacks[0]) == 3 * len(sched.s_values)
+    for r in range(len(stacks[0])):
+        play = qq.random_play(game, rng)
+        for stack, factor in zip(stacks, play.factors):
+            assert stack[r].tobytes() == factor.amplitudes.tobytes()
+
+
+def per_game_candidates(game):
+    """The per-game fixed-point extraction the batched kernel replaced: one eig, then
+    each eigenvector and the factor it induces canonicalized and validated alone."""
+    d1, d2 = game.dims
+    u = game.unitary.matrix
+    pulled_1, pulled_2 = ((p.target.amplitudes.conj() @ u).conj().reshape(d1, d2)
+                          for p in game.payoffs)
+    values, vectors = np.linalg.eig(pulled_2.T @ pulled_1.conj())
+    plays = []
+    for k in np.argsort(-np.abs(values), kind="stable"):
+        if abs(values[k]) <= DEFAULT_TOLS.phase_cutoff:
+            continue
+        second = canonicalize_phase(vectors[:, k])
+        induced = pulled_1 @ np.conj(second.amplitudes)
+        if np.linalg.norm(induced) <= DEFAULT_TOLS.phase_cutoff:
+            continue
+        plays.append(ProductPlay((canonicalize_phase(induced), second)))
+    return plays
+
+
+def per_dial_value_sweep(schedule, starts_per_s, seed, epsilon=1e-6):
+    """sweep_adiabatic as a loop over dial values that draws every start first: per dial
+    value one game, one dynamics stack under its own unitary and one candidate
+    extraction, and each cycled row resolved alone."""
+    rng = np.random.default_rng(seed)
+    ground = bld.ground_state(schedule.h_final)
+    targets = (ground, bld.complement_superposition(schedule.h_final))
+    root = math.isqrt(schedule.dimension)
+    k = starts_per_s
+    starts = _haar_rows((root, root), len(schedule.s_values) * k, rng)
+    rows, converged, verified = [], 0, 0
+    for j, s in enumerate(schedule.s_values):
+        game = bld.build_adiabatic_game(schedule, s, targets)
+        h = s * schedule.h_initial.matrix + (1.0 - s) * schedule.h_final.matrix
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(-1j * (w * schedule.time))) @ v.conj().T
+        assert game.unitary.matrix.tobytes() == u.tobytes()
+        outcomes = qq._dynamics(game, [f[j * k:(j + 1) * k] for f in starts],
+                                tol=1e-9, max_iter=500, trace=False)
+        cycled = [o.status is qq.DynamicsStatus.CYCLE_DETECTED for o in outcomes]
+        candidates = per_game_candidates(game) if any(cycled) else []
+        for start_id, outcome in enumerate(outcomes):
+            final, label, cert = outcome.factors, outcome.status.value, None
+            if cycled[start_id] and candidates:
+                resolved = min(candidates, key=lambda c: float(
+                    qq._factor_distances(game.check_play(c), final)))
+                cert = qq.verify_epsilon_nash_quantum(game, resolved, epsilon, num_probes=8,
+                                                      seed=rng)
+                if cert is not None:
+                    final, label = game.check_play(resolved), "cycle_resolved"
+            if cert is None:
+                cert = qq.verify_epsilon_nash_quantum(game, ProductPlay(final), epsilon,
+                                                      num_probes=8, seed=rng)
+            prepared = qq.prepared_vector(game, final)
+            unit = _fixed_phase(prepared / np.linalg.norm(prepared))
+            converged += outcome.status is qq.DynamicsStatus.CONVERGED
+            verified += cert is not None
+            rows.append(bld.SweepRow(
+                float(s), start_id, label, outcome.iterations,
+                complex(qq._payoff_of(game.payoffs[0], prepared)),
+                float(abs(np.vdot(ground.amplitudes, unit))), cert is not None))
+    return bld.SweepReport(tuple(rows), converged, verified)
+
+
+def random_hermitian(rng, dimension):
+    real, imag = rng.standard_normal((2, dimension, dimension))
+    z = real + 1j * imag
+    return HermitianOperator((z + z.conj().T) / 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([4, 9]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_sweep_matches_the_per_dial_value_loop(dimension, s_values, time, starts, seed):
+    rng = np.random.default_rng(seed)
+    schedule = bld.AdiabaticSchedule(random_hermitian(rng, dimension),
+                                     random_hermitian(rng, dimension), sorted(s_values), time)
+    assert bld.sweep_adiabatic(schedule, starts, seed=seed) == per_dial_value_sweep(
+        schedule, starts, seed)
+
+
+def test_sweep_stacks_split_between_and_within_dial_values_bit_for_bit(monkeypatch):
+    # a budget of five referee-carrying starts splits the 33 rows of the demo sweep into
+    # stacks that straddle dial values; each stack gathers its own rows' referees
+    sched = bld.demo_adiabatic_schedule()
+    whole = bld.sweep_adiabatic(sched, 3, seed=5)
+    monkeypatch.setattr(qq, "STACK_ENTRIES", 5 * (4 ** 2 // 2 + 4 ** 2) + 1)
+    sizes = []
+    stack_dynamics = qq._stack_dynamics
+
+    def recording(game, starts, referees, **kwargs):
+        sizes.append(len(referees))
+        assert len(referees) == len(starts[0])
+        return stack_dynamics(game, starts, referees, **kwargs)
+
+    monkeypatch.setattr(qq, "_stack_dynamics", recording)
+    assert bld.sweep_adiabatic(sched, 3, seed=5) == whole
+    assert sizes == [5] * 6 + [3]
 
 
 def test_sweep_resolves_the_orthogonal_target_orbit():

@@ -516,6 +516,24 @@ def test_support_enumeration_screen_matches_the_per_candidate_loop(k1, k2, seed,
             == enumeration_outcome(profile_per_candidate_enumeration, game, warnings_ignored=True))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_support_enumeration_runs_up_to_the_float_maximum(seed):
+    # a power-of-two scale of both tensors moves no equilibrium: solves past 2^512 and
+    # screens past 2^1022 run at an exact smaller scale, so near the float maximum the
+    # profiles have the bits found at 2^100 and the gains are scaled by the same power
+    rng = np.random.default_rng(seed)
+    unit = [rng.integers(-2, 3, size=(5, 5)).astype(float) for _ in range(2)]
+    base = support_enumeration_nash(FiniteGame([np.ldexp(t, 100) for t in unit]))
+    assert base
+    for scale in (600, 1021, 1022):   # payoffs up to 2^1023
+        found = support_enumeration_nash(FiniteGame([np.ldexp(t, scale) for t in unit]))
+        assert len(found) == len(base)
+        for cert, ref in zip(found, base):
+            for dist, expected in zip(cert.profile.distributions, ref.profile.distributions):
+                assert dist.tobytes() == expected.tobytes()
+            assert cert.per_player_gain == tuple(np.ldexp(ref.per_player_gain, scale - 100))
+
+
 @pytest.mark.parametrize("sizes", [(6, 6), (8, 8), (4, 7)])
 def test_support_enumeration_builds_a_profile_per_equilibrium_only(monkeypatch, sizes):
     rng = np.random.default_rng(sum(sizes))

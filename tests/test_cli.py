@@ -21,6 +21,7 @@ from qugame import builders as bld
 from qugame import classical, geometry, quantum
 from qugame import gamedoc as gd
 from qugame.classical import FiniteGame
+from qugame.config import DEFAULT_TOLS
 from qugame.cli import run_cli
 from qugame.linalg import PureState
 from qugame.quantum import ProductPlay
@@ -237,7 +238,7 @@ DYNAMICS_DIGESTS = {
         "d3ea8136ac86aa1fb74ed540fdfebb75efae7c4ccd76c6ddfacbd74ee04005ae"),
 }
 SWEEP_DIGESTS = (
-    "b88c0935d05a5656bfc2a1a81d725a0a7c1f56f8777e0abfd2e9c4e700250cc5",
+    "6dbb6c3c5e969a8a70ccfcc7b3986ab9ce8e7d28e7bcb8e4771089b704d3ed30",
     "b80fe50cad01b4281b50f7a9b570320810a5cb62457a9b5b14399640870bf0b3",
 )
 
@@ -978,6 +979,32 @@ def test_sweep_refuses_a_time_whose_phase_overflows_under_warnings_as_errors(tmp
     assert proc.stderr.startswith("error: time: time 1.7e+308 times the spectral bound ")
     assert proc.stderr.endswith(" of H(s) exceeds the float maximum\n")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+SUBNORMAL = np.array([[0.0, 5e-324, 0.0], [0.0, 0.0, 5e-324], [5e-324, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("scale", ["2^1020", "subnormal"])
+def test_solve_runs_a_finite_game_at_extreme_scales_under_warnings_as_errors(tmp_path, scale):
+    # seed-0 normal 8x8 payoffs times 2^1020, and 3x3 payoffs of 0 and the smallest
+    # subnormal: the indifference solves once overflowed to NaN weights, and solve exited
+    # 1 with an error that named no document field
+    rng = np.random.default_rng(0)
+    tensors = ([np.ldexp(rng.standard_normal((8, 8)), 1020) for _ in range(2)]
+               if scale == "2^1020" else [SUBNORMAL, SUBNORMAL.T])
+    game = tmp_path / "extreme.json"
+    game.write_text(gd.serialize_game(FiniteGame(tensors)))
+    src = Path(qugame.__file__).resolve().parents[1]
+    out = tmp_path / "eq.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qugame.cli", "solve", "--input", str(game),
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    doc = load(out)
+    assert doc["count"] == len(doc["equilibria"])
+    for eq in doc["equilibria"]:
+        assert max(eq["per_player_gain"]) <= DEFAULT_TOLS.solver_epsilon
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -751,6 +751,16 @@ def test_stack_size_bounds_the_slot_form_intermediate():
         assert qq._stack_size(dims) * per_start <= qq.STACK_ENTRIES
 
 
+def test_stack_size_counts_a_carried_referee():
+    # a start that carries its own referee (a sweep's) holds joint**2 entries more: at
+    # dims (32, 32), a D = 1,024 schedule, 3 such starts fit where 128 sharing one do
+    assert qq._stack_size((32, 32), referee=True) == 3
+    for dims in [(32, 32), (16, 16), (3, 3), (2, 2)]:
+        per_start = math.prod(dims) ** 2 // min(dims) + math.prod(dims) ** 2
+        assert qq._stack_size(dims, referee=True) * per_start <= qq.STACK_ENTRIES
+    assert qq._stack_size((64, 64), referee=True) == 1   # one start needs more than the budget
+
+
 def test_starts_run_in_bounded_stacks_bit_for_bit(monkeypatch):
     # a budget of three starts' slot forms splits 8 starts into stacks of 3, 3 and 2;
     # every outcome keeps the bits of the one-stack run, except trace payoffs: they
