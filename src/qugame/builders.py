@@ -18,13 +18,13 @@ from .linalg import (
     ProductPlay,
     PureState,
     UnitaryOperator,
-    _exponentials,
     _fixed_phase,
     _haar_rows,
     _row_norms,
     _unit_rows,
     as_rng,
     canonicalize_phase,
+    matrix_exponential_unitary,
 )
 from .quantum import (
     MAX_STARTS,
@@ -181,8 +181,11 @@ class AdiabaticSchedule:
         return self.h_initial.dimension
 
 
-def build_adiabatic_game(schedule: AdiabaticSchedule, s: float,
-                         payoff_targets: tuple[PureState, PureState] | None = None) -> QuantumGame:
+def build_adiabatic_game(
+    schedule: AdiabaticSchedule,
+    s: float,
+    payoff_targets: tuple[PureState, PureState] | None = None,
+) -> QuantumGame:
     """Zero-sum-flavored overlap game at one dial setting of the schedule.
 
     The referee is exp(-i H(s) t) for the interpolated Hamiltonian. By
@@ -192,26 +195,19 @@ def build_adiabatic_game(schedule: AdiabaticSchedule, s: float,
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("dial value must lie in [0, 1]")
-    return _adiabatic_games(schedule, (s,), payoff_targets)[0][0]
-
-
-def _adiabatic_games(schedule: AdiabaticSchedule, s_values: Sequence[float],
-                     payoff_targets: tuple[PureState, PureState] | None) -> tuple:
-    """:func:`build_adiabatic_game` at each of ``s_values``, and the unitaries as one stack: every
-    H(s) from one broadcast product, all exponentiated at once, each with the bits it has alone."""
     dim = schedule.dimension
     root = math.isqrt(dim)
     if root * root != dim:
         raise ValueError("the two-player split needs a square joint dimension")
     if root < 2:
         raise ValueError("each player needs a qudit of dimension >= 2")
-    s = np.array(s_values, dtype=float)[:, None, None]
-    hs = s * schedule.h_initial.matrix + (1.0 - s) * schedule.h_final.matrix
-    for h in hs:   # each H(s) is checked as an operator of its own, as each U(s) is below
-        HermitianOperator(h)
-    unitaries = _exponentials(hs, schedule.time)
-    targets = _final_targets(schedule.h_final) if payoff_targets is None else payoff_targets
-    return [build_state_preparation_game((root, root), u, targets) for u in unitaries], unitaries
+    h = HermitianOperator(
+        s * schedule.h_initial.matrix + (1.0 - s) * schedule.h_final.matrix
+    )
+    q = matrix_exponential_unitary(h, schedule.time)
+    if payoff_targets is None:
+        payoff_targets = _final_targets(schedule.h_final)
+    return build_state_preparation_game((root, root), q, payoff_targets)
 
 
 @dataclass(frozen=True)
@@ -255,12 +251,12 @@ def sweep_adiabatic(schedule: AdiabaticSchedule, starts_per_s: int, *, tol: floa
     """Run best-response dynamics across the schedule's dial values.
 
     Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts. The
-    whole schedule runs as one stack: its games are built in one batch, every start is
-    drawn as one array from the shared rng before any verification probe, and all run as
-    one stacked dynamics, each under its dial value's unitary. A row records the dynamics
-    outcome, player 1's payoff, the magnitude of the prepared state's overlap with the
-    final ground state, and whether the final play passed equilibrium verification at
-    ``epsilon``; rows are verified one at a time, in row order.
+    whole schedule runs as one stack: every start is drawn as one array from the shared
+    rng before any verification probe, and all run as one stacked dynamics, each under
+    its dial value's unitary (one game per dial value, built by :func:`build_adiabatic_game`).
+    A row records the dynamics outcome, player 1's payoff, the magnitude of the prepared
+    state's overlap with the final ground state, and whether the final play passed
+    equilibrium verification at ``epsilon``; rows are verified one at a time, in row order.
 
     The two default targets are orthogonal, which makes the round-robin sweep map
     traceless: away from the degenerate endpoints the dynamics orbit the equilibria with
@@ -272,14 +268,14 @@ def sweep_adiabatic(schedule: AdiabaticSchedule, starts_per_s: int, *, tol: floa
     _check_sweep_args(starts_per_s, tol, max_iter, epsilon)
     rng = as_rng(seed)
     targets = _final_targets(schedule.h_final)   # schedule-invariant: (ground, complement)
-    games, unitaries = _adiabatic_games(schedule, schedule.s_values, targets)
-    k = starts_per_s
+    games = [build_adiabatic_game(schedule, s, targets) for s in schedule.s_values]
+    k, referees = starts_per_s, [g.unitary.matrix for g in games]   # views, one per dial value
     starts = _haar_rows(games[0].dims, len(games) * k, rng)
     outcomes = _dynamics(games[0], starts, tol=tol, max_iter=max_iter, trace=False,
-                         referees=unitaries)
+                         referees=[u for u in referees for _ in range(k)])
     cycled = np.reshape([o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes], (-1, k))
     at = np.flatnonzero(cycled.any(axis=1))   # dial values where a start cycled
-    owner, first, second = _fixed_point_rows(games[0], unitaries[at])
+    owner, first, second = _fixed_point_rows(games[0], [referees[j] for j in at])
     owner, rows = at[owner], []
     for j, (s, game) in enumerate(zip(schedule.s_values, games)):
         runs, picks = outcomes[j * k:(j + 1) * k], {}

@@ -190,21 +190,23 @@ def is_epsilon_nash(
     return None
 
 
-def _indifference_weights(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _indifference_weights(blocks: np.ndarray, scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Column weights equalizing the rows of each payoff block, solved as one stack.
 
     Returns the weights and a mask of the systems that are nonsingular and stay
     in the simplex. Singular systems (an exact zero LU pivot, which makes ``solve``
     raise and ``slogdet`` give sign 0) are swapped for the identity, and the stack re-solved.
+    ``scale=False`` skips the per-block scale search below, for blocks known to need none.
     """
     n, m = blocks.shape[:2]
     systems = np.zeros((n, m + 1, m + 1))
     # the weights do not depend on a block's scale, but v follows it, grown by up to 2^8 from
     # pivoting, 2^4 from sums of m + 1 <= 9 terms and the condition number: a block past 2^512
     # (or below 2^-512, where pivots go subnormal) is solved at an exact power-of-two scale inside
-    exponent = np.frexp(abs(blocks).max(axis=(1, 2)))[1]
-    shift = exponent - np.clip(exponent, -511, 512)
-    systems[:, :m, :m] = np.ldexp(blocks, -shift[:, None, None])
+    if scale:   # the per-block search costs a fifth of an 8x8 game's solves
+        exponent = np.frexp(abs(blocks).max(axis=(1, 2)))[1]
+        blocks = np.ldexp(blocks, (np.clip(exponent, -511, 512) - exponent)[:, None, None])
+    systems[:, :m, :m] = blocks
     systems[:, :m, m] = -1.0      # common payoff value v
     systems[:, m, :m] = 1.0       # weights sum to one
     rhs = np.broadcast_to(np.eye(m + 1)[:, m:], (n, m + 1, 1))
@@ -246,7 +248,9 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
         raise ValueError("support enumeration is limited to 8 strategies per player")
     # a screen or gain is a difference of two sums of at most 8 payoff-weight products (weights
     # summing to 1): past 2^1022 the game is screened at an exact 2^-shift, gains scaled back
-    shift = max(0, int(np.frexp(max(abs(t).max() for t in game.payoff_tensors))[1]) - 1022)
+    exponents = np.frexp(np.abs(game.payoff_tensors))[1]   # 0 for a zero payoff
+    scale = exponents.min() < -511 or exponents.max() > 512   # some block may need a scale
+    shift = max(0, int(exponents.max()) - 1022)
     a, b = (np.ldexp(t, -shift) for t in game.payoff_tensors)
     eps = np.ldexp(DEFAULT_TOLS.solver_epsilon, -shift)
     # a payoff on either gain path sums at most max(k1, k2) payoff-weight products
@@ -257,9 +261,9 @@ def support_enumeration_nash(game: FiniteGame) -> list[EquilibriumCertificate]:
         rows = np.array(list(itertools.combinations(range(k1), size)))
         cols = np.array(list(itertools.combinations(range(k2), size)))
         ys, y_ok = _indifference_weights(
-            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size))
+            a[rows[:, None, :, None], cols[None, :, None, :]].reshape(-1, size, size), scale)
         r, c = np.divmod(np.flatnonzero(y_ok), len(cols))   # pairs (rows[r], cols[c])
-        xs, x_ok = _indifference_weights(b.T[cols[c][:, :, None], rows[r][:, None, :]])
+        xs, x_ok = _indifference_weights(b.T[cols[c][:, :, None], rows[r][:, None, :]], scale)
         dxs, dys = _embed(xs[x_ok], rows[r[x_ok]], k1), _embed(ys[y_ok][x_ok], cols[c[x_ok]], k2)
         pa, pb = dys @ a.T, dxs @ b
         with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN screen is kept

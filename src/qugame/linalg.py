@@ -313,19 +313,15 @@ def matrix_exponential_unitary(h: HermitianOperator | np.ndarray, t: float) -> U
     beats the unitarity tolerance for desk-scale dimensions.
     """
     op = h if isinstance(h, HermitianOperator) else HermitianOperator(h)
-    return UnitaryOperator(_exponentials(op.matrix[None], t)[0])
-
-
-def _exponentials(hs: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H), unvalidated, for each matrix of an (n, D, D) Hermitian stack, as if alone."""
     if not np.isfinite(t):
         raise ValueError("time parameter must be finite")
-    w, v = np.linalg.eigh(hs)
+    w, v = np.linalg.eigh(op.matrix)
     with np.errstate(over="ignore"):   # inf is refused below
         phase = w * float(t)
     if not np.all(np.isfinite(phase)):
         raise ValueError("phase eigenvalue * time exceeds the float maximum")
-    return (v * np.exp(-1j * phase)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    u = (v * np.exp(-1j * phase)) @ v.conj().T
+    return UnitaryOperator(u)
 
 
 def haar_random_state(dimension: int, seed: int | np.random.Generator | None) -> PureState:

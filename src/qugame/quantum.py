@@ -393,18 +393,19 @@ def _check_dynamics_args(tol: float, max_iter: int) -> None:
 
 
 def _dynamics(game: QuantumGame, starts: Sequence[np.ndarray], *, tol: float, max_iter: int,
-              trace: bool, referees: np.ndarray | None = None) -> list[DynamicsOutcome]:
+              trace: bool, referees: Sequence[np.ndarray] | None = None) -> list[DynamicsOutcome]:
     """:func:`iterated_best_response` from every row of the ``(k, dims[i])`` start stacks,
-    :func:`_stack_size` rows at a time, under each of m ``referees`` (else the game's unitary)
-    over k / m consecutive rows, gathered per stack. A stack contracts each row as it would
-    alone, so the split moves no factor, status or step bits; trace payoffs (read with the
-    game's unitary, one product per stack) round with its width."""
-    rows, size = len(starts[0]), _stack_size(game.dims, referees is not None)
-    owners = None if referees is None else np.arange(rows) * len(referees) // rows
-    return [outcome for at in range(0, rows, size)
+    :func:`_stack_size` rows at a time, under the game's unitary or, given k ``referees``,
+    each row under its own (stacked one stack at a time). A stack contracts each row as it
+    would alone, so the split moves no factor, status or step bits; trace payoffs, one
+    product per stack, round with its width and read the game's U: referees take no trace."""
+    if trace and referees is not None:
+        raise ValueError("trace payoffs read the game's unitary, not per-row referees")
+    size = _stack_size(game.dims, referees is not None)
+    return [outcome for at in range(0, len(starts[0]), size)
             for outcome in _stack_dynamics(
                 game, [s[at:at + size] for s in starts],
-                None if referees is None else referees[owners[at:at + size]],
+                None if referees is None else np.stack(referees[at:at + size]),
                 tol=tol, max_iter=max_iter, trace=trace)]
 
 
@@ -535,17 +536,17 @@ def overlap_fixed_point_candidates(game: QuantumGame) -> list[ProductPlay]:
         raise ValueError("fixed-point extraction needs a two-player game")
     if not all(isinstance(p, OverlapPayoff) for p in game.payoffs):
         raise ValueError("fixed-point extraction needs overlap payoffs for both players")
-    _, first, second = _fixed_point_rows(game, game.unitary.matrix[None])
+    _, first, second = _fixed_point_rows(game, [game.unitary.matrix])
     return [ProductPlay(pair) for pair in zip(first, second)]
 
 
-def _fixed_point_rows(game: QuantumGame, referees: np.ndarray) -> tuple:
-    """:func:`overlap_fixed_point_candidates` under each unitary of an (n, joint, joint) stack as
-    canonical raw rows, each candidate's stack index (ascending, then in the plays' order) and
-    both players' rows, from one batched eig; each row has the bits of the per-game extraction."""
-    d1, d2 = game.dims   # each pulled-back target U^H t, without a conjugate-transposed U
-    pulled_1, pulled_2 = ((p.target.amplitudes.conj() @ referees).conj().reshape(-1, d1, d2)
-                          for p in game.payoffs)
+def _fixed_point_rows(game: QuantumGame, referees: Sequence[np.ndarray]) -> tuple:
+    """:func:`overlap_fixed_point_candidates` under each of the ``referees`` U as canonical raw
+    rows: each candidate's referee index (ascending, then in the plays' order) and both players'
+    rows, from one batched eig of the stacked U^H t; each row has the per-game extraction's bits."""
+    d1, d2 = game.dims   # each U^H t as (t^H U)^*, without a conjugate-transposed U
+    pulled_1, pulled_2 = (np.array([(p.target.amplitudes.conj() @ u).conj() for u in referees])
+                          .reshape(-1, d1, d2) for p in game.payoffs)
     values, vectors = np.linalg.eig(pulled_2.swapaxes(-1, -2) @ pulled_1.conj())
     order = np.argsort(-np.abs(values), axis=-1, kind="stable")
     owner, k = np.nonzero(np.abs(np.take_along_axis(values, order, -1)) > DEFAULT_TOLS.phase_cutoff)

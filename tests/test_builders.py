@@ -1,5 +1,6 @@
 """Application builders: state preparation, search amplification, annealing."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,6 +458,27 @@ def test_sweep_stacks_split_between_and_within_dial_values_bit_for_bit(monkeypat
     monkeypatch.setattr(qq, "_stack_dynamics", recording)
     assert bld.sweep_adiabatic(sched, 3, seed=5) == whole
     assert sizes == [5] * 6 + [3]
+
+
+def test_sweep_peak_memory_is_one_unitary_per_dial_value_and_one_stack(monkeypatch):
+    # the games keep one U(s) each for the stacked dynamics; nothing else spans the sweep:
+    # H(s) and its exponential live one dial value at a time, and each stack of four
+    # starts gathers only its own referees (a whole-sweep H, eigenvector and U stack
+    # peaked at 5x the games' U(s))
+    rng = np.random.default_rng(11)
+    dimension, count = 64, 48
+    schedule = bld.AdiabaticSchedule(random_hermitian(rng, dimension),
+                                     random_hermitian(rng, dimension),
+                                     tuple(np.linspace(0.0, 1.0, count)), 1.0)
+    monkeypatch.setattr(qq, "STACK_ENTRIES", 4 * (dimension ** 2 // 8 + dimension ** 2))
+    assert qq._stack_size((8, 8), referee=True) == 4
+    tracemalloc.start()
+    try:
+        bld.sweep_adiabatic(schedule, 1, max_iter=4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * count * dimension ** 2 * 16
 
 
 def test_sweep_resolves_the_orthogonal_target_orbit():

@@ -761,6 +761,17 @@ def test_stack_size_counts_a_carried_referee():
     assert qq._stack_size((64, 64), referee=True) == 1   # one start needs more than the budget
 
 
+def test_dynamics_refuses_a_trace_under_per_row_referees():
+    # trace payoffs read the game's unitary, so they would belong to the wrong referee
+    game = random_game((2, 2), (True, True), np.random.default_rng(3))
+    starts = _haar_rows(game.dims, 2, np.random.default_rng(3))
+    referees = [game.unitary.matrix, haar_random_unitary(4, 3).matrix]
+    with pytest.raises(ValueError, match="trace"):
+        qq._dynamics(game, starts, tol=1e-9, max_iter=5, trace=True, referees=referees)
+    runs = qq._dynamics(game, starts, tol=1e-9, max_iter=5, trace=False, referees=referees)
+    assert [r.trace for r in runs] == [(), ()]
+
+
 def test_starts_run_in_bounded_stacks_bit_for_bit(monkeypatch):
     # a budget of three starts' slot forms splits 8 starts into stacks of 3, 3 and 2;
     # every outcome keeps the bits of the one-stack run, except trace payoffs: they
