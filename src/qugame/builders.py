@@ -36,6 +36,7 @@ from .quantum import (
     _factor_distances,
     _fixed_point_rows,
     _payoff_of,
+    _stack_size,
     prepared_vector,
     verify_epsilon_nash_quantum,
 )
@@ -62,9 +63,7 @@ def build_state_preparation_game(
     targets: Sequence,
 ) -> QuantumGame:
     """Overlap game: each player is scored against their own target state."""
-    specs = tuple(
-        OverlapPayoff(t if isinstance(t, PureState) else PureState(t)) for t in targets
-    )
+    specs = tuple(OverlapPayoff(t if isinstance(t, PureState) else PureState(t)) for t in targets)
     return QuantumGame(dims, unitary, specs)
 
 
@@ -250,60 +249,64 @@ def sweep_adiabatic(schedule: AdiabaticSchedule, starts_per_s: int, *, tol: floa
                     seed: int | np.random.Generator | None = 0) -> SweepReport:
     """Run best-response dynamics across the schedule's dial values.
 
-    Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts. The
-    whole schedule runs as one stack: every start is drawn as one array from the shared
-    rng before any verification probe, and all run as one stacked dynamics, each under
-    its dial value's unitary (one game per dial value, built by :func:`build_adiabatic_game`).
-    A row records the dynamics outcome, player 1's payoff, the magnitude of the prepared
-    state's overlap with the final ground state, and whether the final play passed
-    equilibrium verification at ``epsilon``; rows are verified one at a time, in row order.
+    Each dial value gets ``starts_per_s`` (1 to ``MAX_STARTS``) Haar-random starts, all drawn
+    as one array from the shared rng before any verification probe. Dial values run in chunks
+    of as many as one :func:`_dynamics` stack holds with their referees (at least one): a
+    chunk builds its games (:func:`build_adiabatic_game`), runs its starts as one stacked
+    dynamics, each under its dial value's unitary, and verifies its rows one at a time, in
+    row order, before the next chunk is built. A row records the dynamics outcome, player 1's
+    payoff, the magnitude of the prepared state's overlap with the final ground state, and
+    whether the final play passed equilibrium verification at ``epsilon``.
 
-    The two default targets are orthogonal, which makes the round-robin sweep map
-    traceless: away from the degenerate endpoints the dynamics orbit the equilibria with
-    period 2 instead of reaching them. A cycled row is resolved to its nearest closed-form
-    fixed point, extracted in one batch for every dial value where a start cycled (outcome
-    ``cycle_resolved``); that candidate's certificate is the row's, and the final play is
-    verified only when the candidate fails.
+    The two default targets are orthogonal, which makes the round-robin sweep map traceless:
+    away from the degenerate endpoints the dynamics orbit the equilibria with period 2. A
+    cycled row is resolved to its nearest closed-form fixed point, extracted in one batch for
+    the chunk's dial values where a start cycled (outcome ``cycle_resolved``); that
+    candidate's certificate is the row's, and the final play is verified only if it fails.
     """
     _check_sweep_args(starts_per_s, tol, max_iter, epsilon)
     rng = as_rng(seed)
     targets = _final_targets(schedule.h_final)   # schedule-invariant: (ground, complement)
-    games = [build_adiabatic_game(schedule, s, targets) for s in schedule.s_values]
-    k, referees = starts_per_s, [g.unitary.matrix for g in games]   # views, one per dial value
-    starts = _haar_rows(games[0].dims, len(games) * k, rng)
-    outcomes = _dynamics(games[0], starts, tol=tol, max_iter=max_iter, trace=False,
-                         referees=[u for u in referees for _ in range(k)])
-    cycled = np.reshape([o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes], (-1, k))
-    at = np.flatnonzero(cycled.any(axis=1))   # dial values where a start cycled
-    owner, first, second = _fixed_point_rows(games[0], [referees[j] for j in at])
-    owner, rows = at[owner], []
-    for j, (s, game) in enumerate(zip(schedule.s_values, games)):
-        runs, picks = outcomes[j * k:(j + 1) * k], {}
-        loops, mine = np.flatnonzero(cycled[j]), np.flatnonzero(owner == j)
-        if loops.size and mine.size:   # each cycled row's first nearest candidate
-            finals = [np.stack([runs[r].factors[i] for r in loops]) for i in range(2)]
-            near = _factor_distances([first[mine, None], second[mine, None]], finals)
-            picks = dict(zip(loops.tolist(), mine[near.argmin(axis=0)].tolist()))
-        plays = {c: ProductPlay((first[c], second[c])) for c in set(picks.values())}  # to verify
-        for start_id, outcome in enumerate(runs):   # raw factors; no play is validated
-            final, label, cert = outcome.factors, outcome.status.value, None
-            if start_id in picks:
-                play = plays[picks[start_id]]
-                cert = verify_epsilon_nash_quantum(game, play, epsilon, num_probes=8, seed=rng)
-                if cert is not None:
-                    final, label = game.check_play(play), "cycle_resolved"
-            if cert is None:
-                cert = verify_epsilon_nash_quantum(
-                    game, ProductPlay(final), epsilon, num_probes=8, seed=rng)
-            prepared = prepared_vector(game, final)
-            unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
-            rows.append(SweepRow(
-                s=float(s), start_id=start_id, outcome=label, iterations=outcome.iterations,
-                payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
-                ground_overlap_magnitude=float(abs(np.vdot(targets[0].amplitudes, unit))),
-                verified=cert is not None))
+    k, s_values, root = starts_per_s, schedule.s_values, math.isqrt(schedule.dimension)
+    chunk, rows = max(1, _stack_size((root, root), True) // k), []   # dial values held at once
+    for lo in range(0, len(s_values), chunk):
+        games = [build_adiabatic_game(schedule, s, targets) for s in s_values[lo:lo + chunk]]
+        if not lo:   # every start, as one array, before any probe
+            starts = _haar_rows(games[0].dims, len(s_values) * k, rng)
+        outcomes = _dynamics(games[0], [f[lo * k:(lo + len(games)) * k] for f in starts],
+                             tol=tol, max_iter=max_iter, trace=False,   # U(s) views, k each
+                             referees=[g.unitary.matrix for g in games for _ in range(k)])
+        cycled = np.reshape([o.status is DynamicsStatus.CYCLE_DETECTED for o in outcomes], (-1, k))
+        at = np.flatnonzero(cycled.any(axis=1))   # dial values where a start cycled
+        owner, first, second = _fixed_point_rows(games[0], [games[j].unitary.matrix for j in at])
+        for j, (s, game) in enumerate(zip(s_values[lo:], games)):
+            runs, picks = outcomes[j * k:(j + 1) * k], {}
+            loops, mine = np.flatnonzero(cycled[j]), np.flatnonzero(at[owner] == j)
+            if loops.size and mine.size:   # each cycled row's first nearest candidate
+                finals = [np.stack([runs[r].factors[i] for r in loops]) for i in range(2)]
+                near = _factor_distances([first[mine, None], second[mine, None]], finals)
+                picks = dict(zip(loops.tolist(), mine[near.argmin(axis=0)].tolist()))
+            plays = {c: ProductPlay((first[c], second[c])) for c in set(picks.values())}
+            for start_id, outcome in enumerate(runs):   # raw factors; no play is validated
+                final, label, cert = outcome.factors, outcome.status.value, None
+                if start_id in picks:
+                    play = plays[picks[start_id]]
+                    cert = verify_epsilon_nash_quantum(game, play, epsilon, num_probes=8, seed=rng)
+                    if cert is not None:
+                        final, label = game.check_play(play), "cycle_resolved"
+                if cert is None:
+                    cert = verify_epsilon_nash_quantum(
+                        game, ProductPlay(final), epsilon, num_probes=8, seed=rng)
+                prepared = prepared_vector(game, final)
+                unit = _fixed_phase(prepared / np.linalg.norm(prepared))   # as canonicalize_phase
+                rows.append(SweepRow(
+                    s=float(s), start_id=start_id, outcome=label, iterations=outcome.iterations,
+                    payoff_player1=complex(_payoff_of(game.payoffs[0], prepared)),
+                    ground_overlap_magnitude=float(abs(np.vdot(targets[0].amplitudes, unit))),
+                    verified=cert is not None))
+        del games, game   # one chunk's U(s) at a time
     return SweepReport(rows=tuple(rows), verified=sum(row.verified for row in rows),
-                       converged=sum(o.status is DynamicsStatus.CONVERGED for o in outcomes))
+                       converged=sum(row.outcome == DynamicsStatus.CONVERGED.value for row in rows))
 
 
 def bell_state_preparation_demo() -> QuantumGame:

@@ -472,14 +472,9 @@ def _stack_dynamics(game: QuantumGame, starts: Sequence[np.ndarray], referees: n
     return outcomes
 
 
-def iterated_best_response(
-    game: QuantumGame,
-    start: ProductPlay | None = None,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-    seed: int | np.random.Generator | None = None,
-) -> DynamicsOutcome:
+def iterated_best_response(game: QuantumGame, start: ProductPlay | None = None, *,
+                           tol: float = 1e-9, max_iter: int = 1000,
+                           seed: int | np.random.Generator | None = None) -> DynamicsOutcome:
     """Round-robin best-response dynamics from ``start`` (Haar-random if None).
 
     Players update in index order within each sweep. The run converges when no
@@ -491,10 +486,7 @@ def iterated_best_response(
     shrinking tail of a convergent run is never misread as an orbit.
     """
     _check_dynamics_args(tol, max_iter)
-    if start is not None:
-        rows = _play_rows(game, start)
-    else:
-        rows = _haar_rows(game.dims, 1, as_rng(seed))
+    rows = _haar_rows(game.dims, 1, as_rng(seed)) if start is None else _play_rows(game, start)
     (outcome,) = _dynamics(game, rows, tol=tol, max_iter=max_iter, trace=True)
     return outcome
 
@@ -635,9 +627,8 @@ def verify_epsilon_nash_quantum(
     _check_verify_args(epsilon, num_probes)
     gains, max_probe = _deviations(game, play, num_probes, as_rng(seed))
     if gains.max() <= epsilon and max_probe <= epsilon:
-        return QuantumEquilibriumCertificate(
-            play, float(epsilon), tuple(gains), num_probes, float(max_probe)
-        )
+        return QuantumEquilibriumCertificate(play, float(epsilon), tuple(gains), num_probes,
+                                             float(max_probe))
     return None
 
 
@@ -667,37 +658,42 @@ def _check_resolution(resolution: int) -> None:
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _scalar_payoff_tables(
-    game: QuantumGame, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar payoff tables over the joint grid for both players of a 2-qubit game,
-    each one bilinear product in the slots; no joint grid state is formed.
+# grid-scan block rows: a multiple of 12, so OpenBLAS row tiles split a block as they split the
+# whole product (64 rows do not), and one BLAS thread runs a block of 4,096 columns
+GRID_BLOCK_ROWS = 24
 
-    Overlap entries are payoff magnitudes (the phase-free summary improvement
-    is judged on): ``|grid @ T @ grid.T|`` for T the 2x2 conjugate pull-back.
-    Observable entries are the real payoff Tr(M rho_a (x) rho_b) for
-    M = U^H diag(eigenvalues) U, read off the Bloch rows S of the grid:
-    ``S @ R @ S.T`` with R[mu, nu] = Tr(M sigma_mu (x) sigma_nu) / 4.
+
+def _payoff_blocks(game: QuantumGame, i: int, grid: np.ndarray):
+    """Player ``i``'s scalar payoff table over the joint grid of a 2-qubit game, one bilinear
+    product in the slots, as (row slice, block) pairs of ``GRID_BLOCK_ROWS`` rows (the last
+    may have one more), each with the bits of the whole product's rows at one BLAS thread.
+
+    Overlap entries are payoff magnitudes (the phase-free summary improvement is judged on):
+    ``|grid @ T @ grid.T|`` for T the 2x2 conjugate pull-back. Observable entries are the
+    real payoff Tr(M rho_a (x) rho_b) for M = U^H diag(eigenvalues) U, read off the Bloch
+    rows S of the grid: ``S @ R @ S.T`` with R[mu, nu] = Tr(M sigma_mu (x) sigma_nu) / 4.
     """
-    rows = _bloch_rows(grid)
-    tables = []
-    for spec in game.payoffs:
+    spec, u, shift = game.payoffs[i], game.unitary.matrix, 0
+    if isinstance(spec, OverlapPayoff):
+        left, right = grid @ (spec.target.amplitudes.conj() @ u).reshape(2, 2), grid.T
+    else:
+        # every partial sum is at most 16 max|eigenvalue|: past 2^1019 it is
+        # computed at an exact power-of-two scale, clipped to the eigenvalue range
+        shift = max(0, int(np.frexp(np.abs(spec.eigenvalues).max())[1]) - 1019)
+        scaled = np.ldexp(spec.eigenvalues, -shift)
+        joint = (u.conj().T @ (scaled[:, None] * u)).reshape(2, 2, 2, 2)
+        form = np.einsum("acbd,mba,ndc->mn", joint, _PAULIS, _PAULIS).real / 4.0
+        rows = _bloch_rows(grid)
+        left, right = rows @ form, rows.T
+    # a one-row block would run as a matrix-vector product, whose bits differ
+    stops = [*range(GRID_BLOCK_ROWS, len(grid) - 1, GRID_BLOCK_ROWS), len(grid)]
+    for at, stop in zip([0, *stops], stops):
+        block = left[at:stop] @ right
         if isinstance(spec, OverlapPayoff):
-            pulled = (spec.target.amplitudes.conj() @ game.unitary.matrix).reshape(2, 2)
-            tables.append(np.abs(grid @ pulled @ grid.T))
-        else:
-            # every partial sum is at most 16 max|eigenvalue|: past 2^1019 it is
-            # computed at an exact power-of-two scale, clipped to the eigenvalue range
-            eigenvalues, u = spec.eigenvalues, game.unitary.matrix
-            shift = max(0, int(np.frexp(np.abs(eigenvalues).max())[1]) - 1019)
-            scaled = np.ldexp(eigenvalues, -shift)
-            joint = (u.conj().T @ (scaled[:, None] * u)).reshape(2, 2, 2, 2)
-            form = np.einsum("acbd,mba,ndc->mn", joint, _PAULIS, _PAULIS).real / 4.0
-            table = rows @ form @ rows.T
-            if shift:
-                table = np.ldexp(np.clip(table, scaled.min(), scaled.max()), shift)
-            tables.append(table)
-    return tables[0], tables[1]
+            block = np.abs(block)
+        elif shift:
+            block = np.ldexp(np.clip(block, scaled.min(), scaled.max()), shift)
+        yield slice(at, stop), block
 
 
 @dataclass(frozen=True)
@@ -753,32 +749,30 @@ def grid_search_pure_nash(game: QuantumGame, resolution: int, epsilon: float) ->
     two gains, which doubles as a search hint when nothing passes. The first
     ``GRID_MAX_REPORTED`` passing plays in row-major order are listed, and all are counted.
 
-    Each gain overwrites its player's table, so two n x n float tables (n =
-    resolution**2) are the working set, plus one complex n x n product while an
-    overlap table is built: at resolution 64 about 512 MiB traced for the Bell
-    game and 272 MiB for the observable alignment demo.
+    Player 1's table is the only n x n array (n = resolution**2), overwritten by their gains;
+    player 2's row blocks fold into it as the worse gain and are counted as they go. At
+    resolution 64 the traced peak is that 128 MiB table and a few MiB of blocks.
     """
     if game.num_players != 2 or game.dims != (2, 2):
         raise ValueError("the grid oracle handles two qubit players only")
     check_threshold("epsilon", epsilon)
-    table1, table2 = _scalar_payoff_tables(game, grid_states(resolution))
-    # each player's gain overwrites their table in place
-    np.subtract(table1.max(axis=0)[None, :], table1, out=table1)   # player 1 scans rows
-    np.subtract(table2.max(axis=1)[:, None], table2, out=table2)   # player 2 scans columns
-    worst = np.maximum(table1, table2, out=table1)
-    flat_best = int(np.argmin(worst))
-    best_index = (flat_best // worst.shape[1], flat_best % worst.shape[1])
-    hits = np.argwhere(worst <= epsilon)
-    indices = tuple((int(a), int(b)) for a, b in hits[:GRID_MAX_REPORTED])
+    grid, n = grid_states(resolution), resolution**2
+    worst = np.empty((n, n))
+    for rows, block in _payoff_blocks(game, 0, grid):
+        worst[rows] = block
+    np.subtract(worst.max(axis=0)[None, :], worst, out=worst)   # player 1 scans rows
+    passing, hits = 0, []
+    for rows, block in _payoff_blocks(game, 1, grid):
+        np.subtract(block.max(axis=1)[:, None], block, out=block)   # player 2 scans columns
+        ok = np.maximum(worst[rows], block, out=worst[rows]) <= epsilon
+        passing += int(np.count_nonzero(ok))
+        if len(hits) < GRID_MAX_REPORTED:   # the first passing plays in row-major order
+            hits.extend(rows.start * n + np.flatnonzero(ok)[:GRID_MAX_REPORTED - len(hits)])
+    best_index = divmod(int(np.argmin(worst)), n)
     return GridSearchReport(
-        resolution=resolution,
-        epsilon=float(epsilon),
-        num_plays=worst.size,
-        num_passing=len(hits),
-        equilibrium_indices=indices,
-        best_index=best_index,
-        min_max_gain=float(worst[best_index]),
-    )
+        resolution=resolution, epsilon=float(epsilon), num_plays=worst.size,
+        num_passing=passing, equilibrium_indices=tuple(divmod(int(f), n) for f in hits),
+        best_index=best_index, min_max_gain=float(worst[best_index]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -442,11 +442,13 @@ def test_stacked_sweep_matches_the_per_dial_value_loop(dimension, s_values, time
 
 
 def test_sweep_stacks_split_between_and_within_dial_values_bit_for_bit(monkeypatch):
-    # a budget of five referee-carrying starts splits the 33 rows of the demo sweep into
-    # stacks that straddle dial values; each stack gathers its own rows' referees
+    # a chunk holds as many dial values as one stack of referee-carrying starts: a budget
+    # of seven runs the 33 rows of the demo sweep in stacks of two dial values, a budget of
+    # two splits each dial value's three starts; each stack gathers its own rows' referees,
+    # and rows, report and rng end state are those of the whole sweep
     sched = bld.demo_adiabatic_schedule()
-    whole = bld.sweep_adiabatic(sched, 3, seed=5)
-    monkeypatch.setattr(qq, "STACK_ENTRIES", 5 * (4 ** 2 // 2 + 4 ** 2) + 1)
+    rng = np.random.default_rng(5)
+    whole = bld.sweep_adiabatic(sched, 3, seed=rng)
     sizes = []
     stack_dynamics = qq._stack_dynamics
 
@@ -456,15 +458,20 @@ def test_sweep_stacks_split_between_and_within_dial_values_bit_for_bit(monkeypat
         return stack_dynamics(game, starts, referees, **kwargs)
 
     monkeypatch.setattr(qq, "_stack_dynamics", recording)
-    assert bld.sweep_adiabatic(sched, 3, seed=5) == whole
-    assert sizes == [5] * 6 + [3]
+    for budget, expected in ((7, [6] * 5 + [3]), (2, [2, 1] * 11)):
+        monkeypatch.setattr(qq, "STACK_ENTRIES", budget * (4 ** 2 // 2 + 4 ** 2) + 1)
+        sizes.clear()
+        split = np.random.default_rng(5)
+        assert bld.sweep_adiabatic(sched, 3, seed=split) == whole
+        assert sizes == expected
+        assert split.bit_generator.state == rng.bit_generator.state
 
 
 def test_sweep_peak_memory_is_one_unitary_per_dial_value_and_one_stack(monkeypatch):
-    # the games keep one U(s) each for the stacked dynamics; nothing else spans the sweep:
     # H(s) and its exponential live one dial value at a time, and each stack of four
     # starts gathers only its own referees (a whole-sweep H, eigenvector and U stack
-    # peaked at 5x the games' U(s))
+    # peaked at 5x the games' U(s)); the games of one chunk of four dial values are
+    # held, so the peak is now far below this bound (see the next test)
     rng = np.random.default_rng(11)
     dimension, count = 64, 48
     schedule = bld.AdiabaticSchedule(random_hermitian(rng, dimension),
@@ -479,6 +486,28 @@ def test_sweep_peak_memory_is_one_unitary_per_dial_value_and_one_stack(monkeypat
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * count * dimension ** 2 * 16
+
+
+def test_sweep_peak_memory_does_not_grow_past_one_chunk(monkeypatch):
+    # games are built and held one chunk of dial values at a time: with a budget of eleven
+    # referee-carrying starts at D = 256, 34 dial values (four chunks) peak no higher than
+    # the 11 of one chunk, where holding every game adds one 1 MiB U(s) per dial value
+    rng = np.random.default_rng(3)
+    dimension = 256
+    h_initial, h_final = random_hermitian(rng, dimension), random_hermitian(rng, dimension)
+    monkeypatch.setattr(qq, "STACK_ENTRIES", 11 * 17 * 2 ** 12)
+    assert qq._stack_size((16, 16), referee=True) == 11
+    peaks = []
+    for count in (11, 34):
+        schedule = bld.AdiabaticSchedule(h_initial, h_final,
+                                         tuple(np.linspace(0.0, 1.0, count)), 1.0)
+        tracemalloc.start()
+        try:
+            bld.sweep_adiabatic(schedule, 1, max_iter=2, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + dimension ** 2 * 16
 
 
 def test_sweep_resolves_the_orthogonal_target_orbit():

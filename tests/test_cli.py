@@ -1,9 +1,9 @@
 """End-to-end checks of the command line front end.
 
-Everything runs in-process through run_cli against files in tmp_path; three
+Everything runs in-process through run_cli against files in tmp_path; a few
 tests go through a real subprocess: one covers the module entry point, one
-sees which subcommands load scipy in a fresh interpreter, and one runs with
-every warning an error.
+sees which subcommands load scipy in a fresh interpreter, some run with every
+warning an error, and one runs `solve` at one and at two BLAS threads.
 """
 import hashlib
 import json
@@ -1005,6 +1005,24 @@ def test_solve_runs_a_finite_game_at_extreme_scales_under_warnings_as_errors(tmp
     assert doc["count"] == len(doc["equilibria"])
     for eq in doc["equilibria"]:
         assert max(eq["per_player_gain"]) <= DEFAULT_TOLS.solver_epsilon
+
+
+@pytest.mark.parametrize("kind", ["bell-state-prep", "alignment-demo"])
+def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
+    # the grid scan's row blocks each have the bits of the whole product at one thread
+    # and are too small for OpenBLAS to split, so both settings write the pinned bytes
+    game = build(tmp_path, kind)
+    src = Path(qugame.__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        out = tmp_path / f"solve-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qugame.cli", "solve", "--input", str(game),
+             "--resolution", "32", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == BELL_DIGESTS[("solve", kind, "--resolution", "32")], threads
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -16,6 +16,7 @@ from qugame.geometry import bloch_embedding
 from qugame.linalg import (
     ProductPlay,
     PureState,
+    _bloch_rows,
     _haar_rows,
     _outer,
     canonicalize_phase,
@@ -1025,7 +1026,7 @@ def test_verify_refuses_more_than_max_probes_before_any_gain(monkeypatch):
 
 @pytest.mark.parametrize("epsilon", BAD_THRESHOLDS)
 def test_grid_search_refuses_a_bad_epsilon_before_any_table(monkeypatch, epsilon):
-    monkeypatch.setattr(qq, "_scalar_payoff_tables", _refuse)
+    monkeypatch.setattr(qq, "_payoff_blocks", _refuse)
     with pytest.raises(ValueError, match="^epsilon must be a finite real >= 0"):
         qq.grid_search_pure_nash(qq.alignment_demo_game(), 8, epsilon)
 
@@ -1069,10 +1070,15 @@ def test_observable_grid_tables_near_the_float_maximum_are_exactly_rescaled(scal
     for shift in (0, 8):
         spec = qq.ObservablePayoff(np.ldexp(eigenvalues, -shift))
         game = qq.QuantumGame(bell.dims, bell.unitary, (bell.payoffs[0], spec))
-        tables.append(qq._scalar_payoff_tables(game, qq.grid_states(8))[1])
+        tables.append(whole_table(game, 1, qq.grid_states(8)))
     low, high = np.ldexp([eigenvalues.min(), eigenvalues.max()], -8)
     assert np.isfinite(tables[0]).all()
     assert tables[0].tobytes() == np.ldexp(np.clip(tables[1], low, high), 8).tobytes()
+
+
+def whole_table(game, i, grid):
+    """Player ``i``'s scan table, its row blocks joined."""
+    return np.concatenate([block for _, block in qq._payoff_blocks(game, i, grid)])
 
 
 def einsum_payoff_tables(game, grid):
@@ -1092,9 +1098,8 @@ def einsum_payoff_tables(game, grid):
 
 def assert_tables_match_oracle(game, resolution):
     grid = qq.grid_states(resolution)
-    for spec, table, oracle in zip(
-        game.payoffs, qq._scalar_payoff_tables(game, grid), einsum_payoff_tables(game, grid)
-    ):
+    for i, (spec, oracle) in enumerate(zip(game.payoffs, einsum_payoff_tables(game, grid))):
+        table = whole_table(game, i, grid)
         if isinstance(spec, qq.OverlapPayoff):
             assert np.abs(table - oracle).max() <= 1e-15
         else:   # Bloch-form rounding, relative to the observable's scale
@@ -1149,19 +1154,117 @@ def test_alignment_scan_best_play_is_a_minimum_of_the_oracle_gains(resolution):
     assert report.min_max_gain == pytest.approx(worst.min(), abs=1e-15)
 
 
-# alignment demo: no joint grid states (the row-block einsum peaked at
-# 896 MiB); Bell: the gains overwrite their tables (was 679 MiB)
-@pytest.mark.parametrize("game, bound_mib",
-                         [(qq.alignment_demo_game(), 450), (bell_state_preparation_demo(), 600)],
+# player 1's table is the only n x n array: the allowance covers the grid, its Bloch rows and
+# one block's products and masks (the full-table scan peaked at 272 MiB for the alignment
+# demo and 512 MiB for Bell, with an n x n complex product per overlap table)
+@pytest.mark.parametrize("game", [qq.alignment_demo_game(), bell_state_preparation_demo()],
                          ids=["alignment-demo", "bell"])
-def test_grid_scan_peak_memory_at_resolution_64(game, bound_mib):
+def test_grid_scan_peak_memory_at_resolution_64(game):
+    n = qq.MAX_GRID_RESOLUTION ** 2
     tracemalloc.start()
     try:
         qq.grid_search_pure_nash(game, qq.MAX_GRID_RESOLUTION, epsilon=0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mib * 2**20
+    assert peak < n * n * 8 + 8 * 2**20
+
+
+def full_tables(game, grid):
+    """Both scan tables as whole n x n products: ``|grid T grid^T|`` and ``S R S^T``."""
+    rows = _bloch_rows(grid)
+    tables = []
+    for spec in game.payoffs:
+        if isinstance(spec, qq.OverlapPayoff):
+            pulled = (spec.target.amplitudes.conj() @ game.unitary.matrix).reshape(2, 2)
+            tables.append(np.abs(grid @ pulled @ grid.T))
+        else:
+            eigenvalues, u = spec.eigenvalues, game.unitary.matrix
+            shift = max(0, int(np.frexp(np.abs(eigenvalues).max())[1]) - 1019)
+            scaled = np.ldexp(eigenvalues, -shift)
+            joint = (u.conj().T @ (scaled[:, None] * u)).reshape(2, 2, 2, 2)
+            form = np.einsum("acbd,mba,ndc->mn", joint, qq._PAULIS, qq._PAULIS).real / 4.0
+            table = rows @ form @ rows.T
+            if shift:
+                table = np.ldexp(np.clip(table, scaled.min(), scaled.max()), shift)
+            tables.append(table)
+    return tables
+
+
+def full_table_scan(game, resolution, epsilon):
+    """grid_search_pure_nash as the full-table scan computed it: both tables whole,
+    ``argmin`` for the best play and ``argwhere`` for every passing play."""
+    table1, table2 = full_tables(game, qq.grid_states(resolution))
+    worst = np.maximum(table1.max(axis=0)[None, :] - table1, table2.max(axis=1)[:, None] - table2)
+    flat_best = int(np.argmin(worst))
+    best_index = (flat_best // worst.shape[1], flat_best % worst.shape[1])
+    hits = np.argwhere(worst <= epsilon)
+    return qq.GridSearchReport(
+        resolution=resolution, epsilon=float(epsilon), num_plays=worst.size,
+        num_passing=len(hits),
+        equilibrium_indices=tuple((int(a), int(b)) for a, b in hits[:qq.GRID_MAX_REPORTED]),
+        best_index=best_index, min_max_gain=float(worst[best_index]))
+
+
+def assert_scan_matches_the_full_table_scan(game, resolution, epsilon):
+    grid = qq.grid_states(resolution)
+    for i, table in enumerate(full_tables(game, grid)):   # each block has the product's bits
+        assert whole_table(game, i, grid).tobytes() == table.tobytes()
+    report, oracle = (scan(game, resolution, epsilon)
+                      for scan in (qq.grid_search_pure_nash, full_table_scan))
+    assert repr(report) == repr(oracle)   # float reprs round-trip: every field, bit for bit
+    return report
+
+
+GRID_EPSILONS = [0.0, 1e-12, 0.05, 1.0]
+
+
+@pytest.mark.parametrize("epsilon", GRID_EPSILONS)
+def test_block_scan_matches_the_full_table_scan_on_bundled_games(epsilon):
+    for game in _bundled_two_qubit_games():
+        assert_scan_matches_the_full_table_scan(game, 32, epsilon)
+
+
+def _structured_payoff(rng, kind, scale):
+    if kind == "overlap":
+        return qq.OverlapPayoff(haar_random_state(4, rng))
+    if kind == "observable":   # past 2^1019 the tables are built at a power-of-two scale
+        return qq.ObservablePayoff(np.ldexp(rng.uniform(-1.0, 1.0, 4), scale))
+    # few distinct payoffs: ties in the tables, the gains and their minimum
+    return qq.ObservablePayoff(np.ldexp(rng.integers(-1, 2, 4).astype(float), scale))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=16),
+    st.sampled_from(GRID_EPSILONS),
+    st.tuples(*[st.sampled_from(["overlap", "observable", "tied"])] * 2),
+    st.sampled_from([0, 1020, 1022]),   # up to 2^1022: the range stays finite
+    st.sampled_from(["haar", "identity", "bell"]),
+)
+def test_block_scan_matches_the_full_table_scan(seed, resolution, epsilon, kinds, scale, referee):
+    rng = np.random.default_rng(seed)
+    unitary = {"haar": lambda: haar_random_unitary(4, rng), "identity": lambda: np.eye(4),
+               "bell": lambda: bell_state_preparation_demo().unitary.matrix}[referee]()
+    game = qq.QuantumGame((2, 2), unitary,
+                          tuple(_structured_payoff(rng, kind, scale) for kind in kinds))
+    assert_scan_matches_the_full_table_scan(game, resolution, epsilon)
+
+
+def test_block_scan_reaches_more_than_the_reported_plays_and_tied_minima():
+    # the cases the property test must cover: more passing plays than are listed, listed
+    # across several row blocks, and a minimum tied across blocks (argmin's first one)
+    report = assert_scan_matches_the_full_table_scan(bell_state_preparation_demo(), 16, 0.05)
+    assert report.num_passing > qq.GRID_MAX_REPORTED == report.num_equilibria
+    flat = qq.ObservablePayoff(np.ones(4))   # every play pays 1: every gain is 0
+    tied = qq.QuantumGame((2, 2), np.eye(4), (flat, flat))
+    n = 16 ** 2
+    report = assert_scan_matches_the_full_table_scan(tied, 16, 0.0)
+    assert report.num_passing == n * n and report.best_index == (0, 0)
+    assert report.equilibrium_indices == tuple((0, b) for b in range(qq.GRID_MAX_REPORTED))
+    report = assert_scan_matches_the_full_table_scan(tied, 9, 0.0)   # 81 rows: 24, 24, 33
+    assert report.num_passing == 81 * 81
 
 
 @pytest.mark.parametrize("seed", range(4))
