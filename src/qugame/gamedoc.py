@@ -360,10 +360,12 @@ def parse_schedule(text: str) -> AdiabaticSchedule:
     doc = _load(text, "schedule")
     h_initial = _complex_matrix(doc.get("h_initial"), "h_initial")
     h_final = _complex_matrix(doc.get("h_final"), "h_final", h_initial.shape[0])
-    try:
-        ops = HermitianOperator(h_initial), HermitianOperator(h_final)
-    except ValueError as exc:
-        raise DocumentError("h_initial/h_final", str(exc)) from exc
+    ops = []
+    for path, matrix in (("h_initial", h_initial), ("h_final", h_final)):
+        try:
+            ops.append(HermitianOperator(matrix))
+        except ValueError as exc:
+            raise DocumentError(path, str(exc)) from exc
     s_raw = _list(doc.get("s_values"), "s_values")
     s_values = tuple(_reals(s_raw, (len(s_raw),), "s_values").tolist())
     time = _real(doc.get("time"), "time")
@@ -438,18 +440,15 @@ def read_point_cloud(path: str) -> np.ndarray:
         values = list(map(float, chain.from_iterable(rows)))
     except ValueError:
         values = None
-    if values is not None and set(map(len, rows)) == {3}:
-        arr = np.array(values).reshape(-1, 3)
-    else:   # the per-line walk names the first malformed line
-        points = []
+    if values is None or not set(map(len, rows)) <= {3}:   # name the first malformed line
         for n, cells in enumerate(rows, start=start + 1):
             if len(cells) != 3:
                 raise DocumentError(f"line {n}", f"expected 3 columns, got {len(cells)}")
             try:
-                points.append([float(c) for c in cells])
+                list(map(float, cells))
             except ValueError as exc:
                 raise DocumentError(f"line {n}", f"not a number: {exc}") from exc
-        arr = np.array(points, dtype=np.float64)
+    arr = np.array(values, dtype=np.float64).reshape(-1, 3)   # a header alone reads (0, 3)
     if not np.all(np.isfinite(arr)):
         raise DocumentError("$", "point cloud has non-finite entries")
     return arr

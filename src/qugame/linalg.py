@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -82,25 +82,7 @@ def _fixed_phase(arr: np.ndarray) -> np.ndarray:
     raise ValueError("cannot fix the phase of a (numerically) zero vector")
 
 
-def _refuse_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _frozen(cls):
-    """Refuse every assignment and deletion on a frozen slotted dataclass. The
-    ``__setattr__`` and ``__delattr__`` that ``dataclass(slots=True)`` generates
-    still name the class it replaced, so for a name that is not a field they
-    raise TypeError; these two raise FrozenInstanceError for any name."""
-    cls.__setattr__, cls.__delattr__ = _refuse_setattr, _refuse_delattr
-    return cls
-
-
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PureState:
     """Canonical unit-norm representative of a projective qudit state.
 
@@ -138,7 +120,7 @@ class PureState:
         return f"PureState({np.array2string(self.amplitudes, precision=6)})"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class _SquareOperator:
     """Finite square complex matrix, stored read-only once the subclass's
     ``_check_defect`` has accepted it."""
@@ -163,8 +145,7 @@ class _SquareOperator:
         return f"{type(self).__name__}(dim={self.dimension})"
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class UnitaryOperator(_SquareOperator):
     """Square complex matrix validated as unitary at construction."""
 
@@ -176,8 +157,7 @@ class UnitaryOperator(_SquareOperator):
             raise ValueError(f"matrix is not unitary: max |U^H U - I| = {defect:.3e}")
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class HermitianOperator(_SquareOperator):
     """Square complex matrix validated as Hermitian at construction."""
 
@@ -189,8 +169,7 @@ class HermitianOperator(_SquareOperator):
             raise ValueError(f"matrix is not Hermitian: max |H - H^H| = {defect:.3e}")
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProductPlay:
     """One pure state per player; the joint play is their tensor product.
 

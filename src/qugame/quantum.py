@@ -33,7 +33,6 @@ from .linalg import (
     PureState,
     UnitaryOperator,
     _bloch_rows,
-    _frozen,
     _haar_rows,
     _outer,
     _projective_distances,
@@ -104,8 +103,7 @@ class ObservablePayoff:
 PayoffSpec = OverlapPayoff | ObservablePayoff
 
 
-@_frozen
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class QuantumGame:
     """N-player game: per-player qudit dimensions, a joint unitary, payoff specs."""
 

@@ -884,7 +884,10 @@ REFUSED_DOCUMENTS = {
         "error: payoffs[0].overlap: state norm inf is outside the renormalization window\n"),
     "schedule entries +-1.7e308": (
         "sweep", "schedule", {("h_initial", 0, 1): [BIG, 0], ("h_initial", 1, 0): [-BIG, 0]},
-        None, "error: h_initial/h_final: matrix is not Hermitian: max |H - H^H| = inf\n"),
+        None, "error: h_initial: matrix is not Hermitian: max |H - H^H| = inf\n"),
+    "final schedule entries +-1.7e308": (
+        "sweep", "schedule", {("h_final", 0, 1): [BIG, 0], ("h_final", 1, 0): [-BIG, 0]},
+        None, "error: h_final: matrix is not Hermitian: max |H - H^H| = inf\n"),
     "stretched play factor": (
         "verify", "bell", {}, {"kind": "play", "factors": [[[1.01, 0], [0, 0]], [[1, 0], [0, 0]]]},
         "error: factors[0]: state norm 1.01 is outside the renormalization window\n"),

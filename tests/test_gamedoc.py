@@ -296,6 +296,9 @@ DOCUMENT_REFUSALS = {
                       "$", "schedule needs at least one dial value"),
     "zero duration": (gd.parse_schedule, SCHEDULE_TEXT, lambda d: d.update(time=0),
                       "$", "duration must be positive and finite"),
+    "both Hamiltonians": (gd.parse_schedule, SCHEDULE_TEXT,   # the initial one is checked first
+                          lambda d: [d[k][0].__setitem__(1, [3, 0]) for k in ("h_initial", "h_final")],
+                          "h_initial", "matrix is not Hermitian: max |H - H^H| = 4.000e+00"),
 }
 
 
@@ -937,4 +940,6 @@ def test_point_cloud_bulk_paths_match_the_per_line_walk(tmp_path):
     with pytest.raises(gd.DocumentError, match=r"^line 2: not a number: "):
         gd.read_point_cloud(str(path))
     path.write_text("x,y,z\n")
-    assert gd.read_point_cloud(str(path)).shape == (0,)
+    assert gd.read_point_cloud(str(path)).shape == (0, 3)
+    gd.write_point_cloud(str(path), np.empty((0, 3)))   # an empty cloud round-trips
+    assert gd.read_point_cloud(str(path)).shape == (0, 3)

@@ -1,5 +1,6 @@
 """Core state/operator types and the projective metric."""
 import copy
+import dataclasses
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -9,9 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from qugame.builders import bell_state_preparation_demo
+from qugame.builders import bell_state_preparation_demo, demo_adiabatic_schedule
 from qugame.classical import FiniteGame, MixedProfile
-from qugame.quantum import QuantumGame
+from qugame.quantum import ObservablePayoff, QuantumGame
 from qugame.linalg import (
     HermitianOperator,
     ProductPlay,
@@ -119,13 +120,17 @@ def _validated_values():
     ]
 
 
+def _field_names(value):
+    # dataclasses.fields lists the base class's fields too (the operators' matrix)
+    return [f.name for f in dataclasses.fields(value)]
+
+
 def test_validated_values_refuse_rebinding():
-    # a value stays the point it was validated as: every stored slot, the
-    # base class's included, refuses assignment and deletion
+    # a value stays the point it was validated as: every field, the base
+    # class's included, refuses assignment and deletion
     for value in _validated_values():
-        names = [n for cls in type(value).__mro__ for n in vars(cls).get("__slots__", ())]
+        names = _field_names(value)
         assert names, type(value).__name__
-        assert not hasattr(value, "__dict__")
         for name in names:
             before = getattr(value, name)
             with pytest.raises(AttributeError):
@@ -136,15 +141,16 @@ def test_validated_values_refuse_rebinding():
 
 
 def test_validated_values_refuse_any_name_and_survive_copy_and_pickle():
-    for value in _validated_values():
-        for name in ("foo", "amplitudes", "__dict__"):
+    plain = [ObservablePayoff([1.0, -1.0, 0.5, 0.0]), demo_adiabatic_schedule()]
+    for value in _validated_values() + plain:
+        for name in ("foo", "amplitudes", "__dict__", *_field_names(value)):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, name, None)
-            with pytest.raises(AttributeError):
+            with pytest.raises(FrozenInstanceError):
                 delattr(value, name)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and repr(twin) == repr(value)
-            for name in (n for cls in type(value).__mro__ for n in vars(cls).get("__slots__", ())):
+            for name in _field_names(value):
                 assert pickle.dumps(getattr(twin, name)) == pickle.dumps(getattr(value, name))
             with pytest.raises(FrozenInstanceError):
                 twin.foo = 1

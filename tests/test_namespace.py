@@ -1,4 +1,5 @@
 """The package namespace: each library module's ``__all__`` is its only list of public names."""
+import dataclasses
 import importlib
 import types
 
@@ -22,3 +23,12 @@ def test_every_public_package_name_is_declared_once():
             continue
         submodule = isinstance(value, types.ModuleType) and value.__name__ == f"qugame.{public}"
         assert public in declared or submodule, public
+
+
+def test_every_public_dataclass_is_frozen():
+    # every value type, and each dataclass it is built on, refuses rebinding
+    classes = {cls for value in vars(qugame).values() if isinstance(value, type)
+               for cls in value.__mro__ if dataclasses.is_dataclass(cls)}
+    assert len(classes) >= 25   # 25 today, the operators' private base class included
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls.__name__
